@@ -18,15 +18,28 @@ the unprimed pair in ascending index order, 12 partitions per side, 144
 partition pairs per submatrix. A partition pair whose S is undefined is
 skipped; it cannot witness a violation.
 
-The full-matrix scan memoizes block expectations per ordered (row pair,
-column pair) of the complete matrix (90 x 90 for a 10 x 10 matrix), so
-each of the 210 x 210 x 144 statistics costs four table lookups.
+Every maximum of |S| comes from one kernel, ``_split_kernel``. Four
+indices split into two unordered pairs in 3 ways per side, so the 144
+partition pairs fall into 9 split pairs of 16. The 16 partition pairs of
+a split pair share its four block expectations x = n/d and differ only in
+the signs they give them, so their best |S| is sum|x| - 2 min|x| when an
+even number of the x are negative, and sum|x| otherwise (a zero x makes
+the two equal). The kernel evaluates this on integers over the common
+denominator D = d1 d2 d3 d4, so the verdict |S| > 2 is exact with no
+float band, and the reported maximum is the exact value correctly
+rounded. A split pair with an empty block skips its 16 partition pairs.
+
+The integers are int64 while 4 x (largest count) < 6888: every d is then
+below 6888, so D < 6888**4 and every numerator (at most 4 D) is below
+2**53, exact in int64 and in float64. Larger counts run the same
+expressions on Python ints. The argmax is the first split pair, row
+split major, whose exact maximum is largest, then the first of its
+partition pairs in enumerate_partitions() order that attains it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
@@ -53,31 +66,60 @@ __all__ = [
 
 VIOLATION_BOUND = 2.0
 
-# Statistics this close to the classical bound are re-decided in exact
-# rational arithmetic: four correctly-rounded block expectations can land a
-# float sum on the wrong side of 2 by up to ~5e-16 (e.g. when the exact
-# value is 2), and the decision must match exact arithmetic. Float error
-# is orders of magnitude below this band, so the band cannot misroute a
-# clear case.
-_BOUNDARY_BAND = 1e-9
-
 # Canonical per-side index configurations (a1, a2, a3, a4): unprimed pair
 # (a1, a2) with a1 < a2, primed pair (a3, a4) in either order. Exactly the
 # 4!/2 = 12 orderings that survive the global outcome-flip symmetry.
 _CONFIGS = tuple(p for p in permutations(range(4)) if p[0] < p[1])
 
-# Ordered index pairs (i, j), i != j, shared by rows and columns.
-_ORDERED_PAIRS_4 = tuple((i, j) for i in range(4) for j in range(4) if i != j)
-_PAIR_IDX_4 = {pair: idx for idx, pair in enumerate(_ORDERED_PAIRS_4)}
-
-_P1 = np.array([p[0] for p in _ORDERED_PAIRS_4])
-_P2 = np.array([p[1] for p in _ORDERED_PAIRS_4])
-# per config: index of the unprimed / primed ordered pair in the pair table
-_UNPRIMED = np.array([_PAIR_IDX_4[(c[0], c[1])] for c in _CONFIGS])
-_PRIMED = np.array([_PAIR_IDX_4[(c[2], c[3])] for c in _CONFIGS])
-
 N_PARTITIONS_PER_SIDE = len(_CONFIGS)
 N_PARTITION_PAIRS = N_PARTITIONS_PER_SIDE**2
+
+# The three splits of four indices into two ascending pairs ("halves"),
+# in the order their first partition appears in _CONFIGS.
+_SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+# The kernel runs in int64 while 4 x (largest count), the largest possible
+# block denominator, is below this bound: 4 * 6888**4 < 2**53.
+_DENOMINATOR_LIMIT = 6888
+
+# Subset pairs per kernel call in the full-matrix scan; much larger chunks
+# raise peak memory without speeding the scan.
+_SCAN_CHUNK = 4096
+
+
+def _side_split(config) -> tuple[int, int, int]:
+    """(split, half holding the unprimed pair, sign of the primed pair)."""
+    unprimed, primed = config[:2], config[2:]
+    split = next(k for k, halves in enumerate(_SPLITS) if unprimed in halves)
+    return split, _SPLITS[split].index(unprimed), 1 if primed[0] < primed[1] else -1
+
+
+def _split_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Partition pairs and block signs of the 9 split pairs.
+
+    Split pair 3 * row split + column split holds 16 partition pairs, listed
+    in enumerate_partitions() order. Each gives the four blocks of its split
+    pair, numbered 2 * row half + column half, a sign of +1 or -1.
+    """
+    sides = [_side_split(c) for c in _CONFIGS]
+    index: list[list[int]] = [[] for _ in range(9)]
+    signs: list[list[list[int]]] = [[] for _ in range(9)]
+    for r, (row_split, hu, sr) in enumerate(sides):
+        for c, (col_split, hw, sc) in enumerate(sides):
+            coef = [0] * 4
+            coef[2 * hu + hw] = 1  # E(AB)
+            coef[2 * (1 - hu) + hw] = sr  # E(A'B)
+            coef[2 * hu + 1 - hw] = sc  # E(AB')
+            coef[2 * (1 - hu) + 1 - hw] = -sr * sc  # -E(A'B')
+            index[3 * row_split + col_split].append(r * N_PARTITIONS_PER_SIDE + c)
+            signs[3 * row_split + col_split].append(coef)
+    return np.array(index), np.array(signs)
+
+
+_SPLIT_PARTITIONS, _SPLIT_SIGNS = _split_tables()
+# (row, column) index pairs of block b of split pair j at [b, j]: (4, 9, 2)
+_BLOCK_ROWS = np.array([[_SPLITS[j // 3][b // 2] for j in range(9)] for b in range(4)])
+_BLOCK_COLS = np.array([[_SPLITS[j % 3][b % 2] for j in range(9)] for b in range(4)])
 
 
 @dataclass(frozen=True)
@@ -214,143 +256,100 @@ def chsh_statistic(
     return e_ab + e_apb + e_abp - e_apbp
 
 
-def _expectation_table(matrices: np.ndarray) -> np.ndarray:
-    """Block expectations for every ordered (row pair, col pair).
+def _first_exact_max(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Per column, the first row where numer / denom is largest (denom > 0)."""
+    numer, denom = numer.astype(object), denom.astype(object)
+    cols = np.arange(numer.shape[1])
+    first = np.zeros(numer.shape[1], dtype=np.intp)
+    for j in range(1, len(numer)):
+        first[numer[j] * denom[first, cols] > numer[first, cols] * denom[j]] = j
+    return first
 
-    matrices: (n, 4, 4) floats. Returns (n, 12, 12) with NaN for empty blocks.
+
+def _split_kernel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact CHSH maximum of each block of an (n, 4, 4) non-negative integer array.
+
+    Returns (signed S at the argmax, argmax index into enumerate_partitions(),
+    skipped partition pairs). |S| is the exact maximum correctly rounded,
+    except that a maximum above 2 is never rounded down to 2. A block whose
+    partition pairs are all skipped reports S = 0 and argmax 0.
     """
-    f11 = matrices[:, _P1[:, None], _P1[None, :]]
-    f22 = matrices[:, _P2[:, None], _P2[None, :]]
-    f12 = matrices[:, _P1[:, None], _P2[None, :]]
-    f21 = matrices[:, _P2[:, None], _P1[None, :]]
-    numer = f11 + f22 - f12 - f21
+    in_int64 = 4 * int(blocks.max(initial=0)) < _DENOMINATOR_LIMIT
+    f = np.ascontiguousarray(blocks.transpose(1, 2, 0), dtype=np.int64 if in_int64 else object)
+    r1, r2 = _BLOCK_ROWS[..., 0], _BLOCK_ROWS[..., 1]
+    c1, c2 = _BLOCK_COLS[..., 0], _BLOCK_COLS[..., 1]
+    f11, f12, f21, f22 = f[r1, c1], f[r1, c2], f[r2, c1], f[r2, c2]
+    numer = f11 + f22 - f12 - f21  # (4 blocks, 9 split pairs, n)
     denom = f11 + f22 + f12 + f21
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e = numer / denom
-    e[denom == 0.0] = np.nan
-    return e
+    empty = (denom == 0).any(axis=0)
+    denom[denom == 0] = 1  # keeps D non-zero; empty split pairs are masked
+    d0, d1, d2, d3 = denom
+    d01, d23 = d0 * d1, d2 * d3
+    common = d01 * d23
+    scaled = numer * np.stack([d1 * d23, d0 * d23, d01 * d3, d01 * d2])
+    mags = np.abs(scaled)
+    best = mags[0] + mags[1] + mags[2] + mags[3]
+    low = np.minimum(np.minimum(mags[0], mags[1]), np.minimum(mags[2], mags[3]))
+    best = np.where((numer < 0).sum(axis=0) % 2 == 0, best - 2 * low, best)
+    best[empty] = -1
 
+    # correct rounding is monotone, so a unique float maximum is the exact one
+    value = np.asarray(best / common, dtype=np.float64)
+    split = value.argmax(axis=0)
+    cols = np.arange(len(blocks))
+    top = value[split, cols]
+    tied = np.flatnonzero((value == top).sum(axis=0) > 1)
+    split[tied] = _first_exact_max(best[:, tied], common[:, tied])
 
-def _statistics_from_expectations(e: np.ndarray) -> np.ndarray:
-    """S over the 144 canonical partition pairs: (n, 12, 12) -> (n, 144)."""
-    s = (
-        e[:, _UNPRIMED[:, None], _UNPRIMED[None, :]]
-        + e[:, _PRIMED[:, None], _UNPRIMED[None, :]]
-        + e[:, _UNPRIMED[:, None], _PRIMED[None, :]]
-        - e[:, _PRIMED[:, None], _PRIMED[None, :]]
-    )
-    return s.reshape(e.shape[0], N_PARTITION_PAIRS)
-
-
-def _exact_max_abs(counts) -> Fraction:
-    """Exact max |S| over the canonical partition pairs of one 4x4 block.
-
-    Skipped (empty-block) partitions are ignored; 0 when all are skipped.
-    Used only inside the boundary band, so Fraction cost stays negligible.
-    """
-    table: list[Fraction | None] = []
-    for r1, r2 in _ORDERED_PAIRS_4:
-        for c1, c2 in _ORDERED_PAIRS_4:
-            f11 = int(counts[r1][c1])
-            f12 = int(counts[r1][c2])
-            f21 = int(counts[r2][c1])
-            f22 = int(counts[r2][c2])
-            total = f11 + f12 + f21 + f22
-            table.append(
-                None if total == 0 else Fraction(f11 + f22 - f12 - f21, total)
-            )
-    n = len(_ORDERED_PAIRS_4)
-    best = Fraction(0)
-    for u, v in zip(_UNPRIMED, _PRIMED):
-        for w, x in zip(_UNPRIMED, _PRIMED):
-            e_ab = table[u * n + w]
-            e_apb = table[v * n + w]
-            e_abp = table[u * n + x]
-            e_apbp = table[v * n + x]
-            if e_ab is None or e_apb is None or e_abp is None or e_apbp is None:
-                continue
-            s = e_ab + e_apb + e_abp - e_apbp
-            if -s > best:
-                best = -s
-            elif s > best:
-                best = s
-    return best
-
-
-def _exactify_boundary(max_abs: np.ndarray, fetch_counts) -> np.ndarray:
-    """Replace near-bound maxima with the correctly-rounded exact value.
-
-    ``max_abs`` may have any shape; ``fetch_counts(flat_index)`` must return
-    the 4x4 integer block for that entry. The returned array decides
-    ``> VIOLATION_BOUND`` exactly as rational arithmetic would.
-    """
-    flat = max_abs.reshape(-1)
-    band = np.flatnonzero(
-        (flat > VIOLATION_BOUND - _BOUNDARY_BAND)
-        & (flat <= VIOLATION_BOUND + _BOUNDARY_BAND)
-    )
-    for idx in band.tolist():
-        flat[idx] = float(_exact_max_abs(fetch_counts(idx)))
-    return max_abs
-
-
-def _reduce_statistics(s: np.ndarray):
-    """Per matrix: (max |S|, signed S at argmax, argmax index, skipped count).
-
-    Skipped (NaN) partitions are ignored; when every partition is skipped
-    the maximum is 0 and the argmax index is 0 by convention.
-    """
-    abs_s = np.abs(s)
-    nan_mask = np.isnan(abs_s)
-    n_skipped = nan_mask.sum(axis=-1)
-    filled = np.where(nan_mask, -1.0, abs_s)
-    argmax = filled.argmax(axis=-1)
-    take = np.take_along_axis(filled, argmax[..., None], axis=-1)[..., 0]
-    max_abs = np.where(take < 0.0, 0.0, take)
-    signed = np.take_along_axis(np.where(nan_mask, 0.0, s), argmax[..., None], axis=-1)[..., 0]
-    return max_abs, signed, argmax, n_skipped
+    best, common = best[split, cols], common[split, cols]
+    # S * D of the 16 partition pairs of each chosen split pair
+    s16 = (_SPLIT_SIGNS[split] @ scaled[:, split, cols].T[:, :, None])[..., 0]
+    first = (np.abs(s16) == best[:, None]).argmax(axis=1)
+    # only reachable above the int64 bound, where D can exceed 2**51
+    above = (best > 2 * common) & (top <= VIOLATION_BOUND)
+    top = np.where(above, np.nextafter(VIOLATION_BOUND, 4.0), np.maximum(top, 0.0))
+    signed = np.where(s16[cols, first] < 0, -top, top)
+    return signed, _SPLIT_PARTITIONS[split, first], 16 * empty.sum(axis=0)
 
 
 def chsh_max_abs_batch(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan a batch of 4x4 count matrices over all 144 partition pairs.
 
     Returns (max_abs, argmax, n_skipped) arrays of length n; argmax indexes
-    enumerate_partitions(). Maxima inside the boundary band around 2 are
-    exact-rational values correctly rounded, so ``max_abs > 2`` is the
-    exact violation decision.
+    enumerate_partitions(). ``max_abs > 2`` is the exact violation decision.
     """
-    m = np.asarray(matrices, dtype=np.float64)
+    m = np.asarray(matrices)
     if m.ndim == 2:
         m = m[None]
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"expected (n, 4, 4) matrices, got shape {m.shape}")
     if m.size and m.min() < 0:
         raise ValueError("co-occurrence counts must be non-negative")
-    s = _statistics_from_expectations(_expectation_table(m))
-    max_abs, _, argmax, n_skipped = _reduce_statistics(s)
-    max_abs = _exactify_boundary(max_abs, lambda idx: m[idx])
-    return max_abs, argmax, n_skipped
+    counts = m.astype(np.int64)
+    if (counts != m).any():
+        raise ValueError("co-occurrence counts must be integers")
+    signed, argmax, n_skipped = _split_kernel(counts)
+    return np.abs(signed), argmax, n_skipped
+
+
+def _partition_pair(index: int) -> tuple[Partition, Partition]:
+    """The (row, column) partitions at one enumerate_partitions() index."""
+    return (
+        canonical_partitions("rows")[index // N_PARTITIONS_PER_SIDE],
+        canonical_partitions("cols")[index % N_PARTITIONS_PER_SIDE],
+    )
 
 
 def max_abs_chsh(matrix: SubMatrix) -> ChshEvaluation:
     """Exhaustive 144-partition evaluation of one submatrix."""
-    max_abs, argmax, n_skipped = chsh_max_abs_batch(matrix.counts[None])
+    signed, argmax, n_skipped = _split_kernel(matrix.counts[None])
     skipped = int(n_skipped[0])
-    if skipped == N_PARTITION_PAIRS:
-        best = None
-        value = 0.0
-    else:
-        idx = int(argmax[0])
-        best = (
-            canonical_partitions("rows")[idx // N_PARTITIONS_PER_SIDE],
-            canonical_partitions("cols")[idx % N_PARTITIONS_PER_SIDE],
-        )
-        value = float(max_abs[0])
+    value = abs(float(signed[0]))
     return ChshEvaluation(
         rows=matrix.rows,
         cols=matrix.cols,
         max_abs_s=value,
-        argmax=best,
+        argmax=None if skipped == N_PARTITION_PAIRS else _partition_pair(int(argmax[0])),
         violated=value > VIOLATION_BOUND,
         skipped_partitions=skipped,
     )
@@ -366,55 +365,12 @@ def submatrix_of(
     return SubMatrix(rows=rows, cols=cols, counts=block)
 
 
-def _full_expectation_table(counts: np.ndarray) -> np.ndarray:
-    """Memoized expectations over every ordered pair of a full matrix.
-
-    table[p, q] is the expectation of the block with ordered row pair p and
-    ordered column pair q (NaN when empty); 90 x 90 for a 10 x 10 matrix.
-    """
-    f = counts.astype(np.float64)
-    n_rows, n_cols = f.shape
-    row_pairs = np.array([(i, j) for i in range(n_rows) for j in range(n_rows) if i != j])
-    col_pairs = np.array([(i, j) for i in range(n_cols) for j in range(n_cols) if i != j])
-    r1, r2 = row_pairs[:, 0], row_pairs[:, 1]
-    c1, c2 = col_pairs[:, 0], col_pairs[:, 1]
-    f11 = f[np.ix_(r1, c1)]
-    f22 = f[np.ix_(r2, c2)]
-    f12 = f[np.ix_(r1, c2)]
-    f21 = f[np.ix_(r2, c1)]
-    numer = f11 + f22 - f12 - f21
-    denom = f11 + f22 + f12 + f21
-    with np.errstate(invalid="ignore", divide="ignore"):
-        table = numer / denom
-    table[denom == 0.0] = np.nan
-    return table
-
-
-def _subset_config_pairs(n: int, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map (subset, config) to ordered-pair indices of the full-matrix table."""
-    pair_idx = np.full((n, n), -1, dtype=np.int64)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pair_idx[i, j] = k
-                k += 1
-    configs = np.array(_CONFIGS)
-    unprimed = pair_idx[subsets[:, configs[:, 0]], subsets[:, configs[:, 1]]]
-    primed = pair_idx[subsets[:, configs[:, 2]], subsets[:, configs[:, 3]]]
-    return unprimed, primed
-
-
-def entanglement_proportion(
-    matrix: CoocMatrix,
-    top_details: int = 0,
-    _chunk_rows: int = 32,
-) -> ProportionReport:
+def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> ProportionReport:
     """Scan every pair of 4-term subsets of the concept terms.
 
     A subset pair is entangled when some partition pair yields |S| > 2.
-    With 10-term concepts this is 210 x 210 = 44,100 subset pairs, each
-    scanned over 144 partitions via the memoized expectation table. When
+    With 10-term concepts this is 210 x 210 = 44,100 subset pairs, whose
+    4x4 blocks are gathered and scanned _SCAN_CHUNK at a time. When
     ``top_details`` > 0, the strongest violating pairs are attached to the
     report (ordered by |S| descending, then subset indices).
     """
@@ -422,72 +378,38 @@ def entanglement_proportion(
     if n_rows < 4 or n_cols < 4:
         raise ValueError("the co-occurrence matrix needs at least 4 terms per side")
 
-    table = _full_expectation_table(matrix.counts)
     row_subsets = np.array(list(combinations(range(n_rows), 4)))
     col_subsets = np.array(list(combinations(range(n_cols), 4)))
-    ru, rv = _subset_config_pairs(n_rows, row_subsets)  # (n_row_subsets, 12)
-    cu, cv = _subset_config_pairs(n_cols, col_subsets)  # (n_col_subsets, 12)
+    n_cs = len(col_subsets)
+    n_total = len(row_subsets) * n_cs
+    signed = np.empty(n_total)
+    argmax = np.empty(n_total, dtype=np.int64)
+    for start in range(0, n_total, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, n_total)
+        rs, cs = np.divmod(np.arange(start, stop), n_cs)
+        blocks = matrix.counts[row_subsets[rs][:, :, None], col_subsets[cs][:, None, :]]
+        signed[start:stop], argmax[start:stop], _ = _split_kernel(blocks)
 
-    n_rs, n_cs = len(row_subsets), len(col_subsets)
-    cw = cu.reshape(-1)
-    cx = cv.reshape(-1)
-
-    max_abs = np.empty((n_rs, n_cs))
-    signed = np.empty((n_rs, n_cs))
-    argmax = np.empty((n_rs, n_cs), dtype=np.int64)
-    skipped = np.empty((n_rs, n_cs), dtype=np.int64)
-
-    for start in range(0, n_rs, _chunk_rows):
-        stop = min(start + _chunk_rows, n_rs)
-        ru_flat = ru[start:stop].reshape(-1)
-        rv_flat = rv[start:stop].reshape(-1)
-        s = (
-            table[np.ix_(ru_flat, cw)]
-            + table[np.ix_(rv_flat, cw)]
-            + table[np.ix_(ru_flat, cx)]
-            - table[np.ix_(rv_flat, cx)]
-        )
-        s = (
-            s.reshape(stop - start, N_PARTITIONS_PER_SIDE, n_cs, N_PARTITIONS_PER_SIDE)
-            .transpose(0, 2, 1, 3)
-            .reshape(stop - start, n_cs, N_PARTITION_PAIRS)
-        )
-        chunk_max, chunk_signed, chunk_arg, chunk_skip = _reduce_statistics(s)
-        max_abs[start:stop] = chunk_max
-        signed[start:stop] = chunk_signed
-        argmax[start:stop] = chunk_arg
-        skipped[start:stop] = chunk_skip
-
-    counts = matrix.counts
-
-    def fetch(flat_idx):
-        rs, cs = divmod(flat_idx, n_cs)
-        return counts[np.ix_(row_subsets[rs], col_subsets[cs])]
-
-    max_abs = _exactify_boundary(max_abs, fetch)
+    max_abs = np.abs(signed)
     violated = max_abs > VIOLATION_BOUND
     n_entangled = int(violated.sum())
-    n_total = n_rs * n_cs
 
     details: tuple[PairDetail, ...] | None = None
     if top_details > 0:
-        flat_idx = np.flatnonzero(violated.ravel())
-        order = np.lexsort((flat_idx, -max_abs.ravel()[flat_idx]))
-        chosen = flat_idx[order][:top_details]
-        row_parts = canonical_partitions("rows")
-        col_parts = canonical_partitions("cols")
+        flat_idx = np.flatnonzero(violated)
+        order = np.lexsort((flat_idx, -max_abs[flat_idx]))
         pair = matrix.concept_pair
         built = []
-        for idx in chosen.tolist():
+        for idx in flat_idx[order][:top_details].tolist():
             rs_idx, cs_idx = divmod(idx, n_cs)
-            cfg = int(argmax[rs_idx, cs_idx])
+            row_partition, col_partition = _partition_pair(int(argmax[idx]))
             built.append(
                 PairDetail(
                     row_terms=tuple(pair.c1[i] for i in row_subsets[rs_idx]),
                     col_terms=tuple(pair.c2[j] for j in col_subsets[cs_idx]),
-                    s=float(signed[rs_idx, cs_idx]),
-                    row_partition=row_parts[cfg // N_PARTITIONS_PER_SIDE],
-                    col_partition=col_parts[cfg % N_PARTITIONS_PER_SIDE],
+                    s=float(signed[idx]),
+                    row_partition=row_partition,
+                    col_partition=col_partition,
                 )
             )
         details = tuple(built)

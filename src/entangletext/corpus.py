@@ -179,15 +179,16 @@ def load_topic_corpus(
     The manifest is JSON of the form
     ``{"topics": [{"topic_id": ..., "documents": [{"doc_id": ..., "path": ...}]}]}``;
     document paths are resolved relative to the manifest's directory. All
-    structural problems raise CorpusError naming the offending entry.
+    structural problems, and files that are not UTF-8, raise CorpusError
+    naming the offending entry.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise CorpusError(f"manifest not found: {manifest_path}")
     try:
         data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise _manifest_error(manifest_path, f"not valid JSON ({exc})") from exc
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise _manifest_error(manifest_path, f"not valid UTF-8 JSON ({exc})") from exc
 
     topics = data.get("topics") if isinstance(data, dict) else None
     if not isinstance(topics, list) or not topics:
@@ -213,9 +214,10 @@ def load_topic_corpus(
         for doc_entry in doc_entries:
             doc_id = doc_entry.get("doc_id") if isinstance(doc_entry, dict) else None
             rel = doc_entry.get("path") if isinstance(doc_entry, dict) else None
-            if not doc_id or not rel:
+            if not (doc_id and isinstance(doc_id, str) and rel and isinstance(rel, str)):
                 raise _manifest_error(
-                    manifest_path, f"topic {topic_id!r} has a document entry without doc_id/path: {doc_entry!r}"
+                    manifest_path,
+                    f"topic {topic_id!r} has a document entry without a string doc_id/path: {doc_entry!r}",
                 )
             if doc_id in seen_docs:
                 raise _manifest_error(
@@ -229,7 +231,12 @@ def load_topic_corpus(
                 raise _manifest_error(
                     manifest_path, f"document file not found: {doc_path} (doc_id {doc_id!r})"
                 )
-            text = doc_path.read_text(encoding="utf-8")
+            try:
+                text = doc_path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise _manifest_error(
+                    manifest_path, f"document {doc_id!r} is not UTF-8 text: {doc_path} ({exc})"
+                ) from exc
             if not text.strip():
                 raise _manifest_error(
                     manifest_path, f"document {doc_id!r} of topic {topic_id!r} is empty: {doc_path}"

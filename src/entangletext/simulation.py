@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .chsh import SubMatrix, VIOLATION_BOUND, chsh_max_abs_batch
 
@@ -116,7 +115,8 @@ def distribution_pmf(spec: DistributionSpec) -> np.ndarray:
         weights = np.ones(b)
     else:
         # log-space keeps far-off-center truncations from underflowing to 0/0
-        log_w = stats.poisson.logpmf(values, spec.poisson_mean)
+        mu = spec.poisson_mean
+        log_w = np.array([k * math.log(mu) - mu - math.lgamma(k + 1) for k in range(1, b + 1)])
         weights = np.exp(log_w - log_w.max())
     return weights / weights.sum()
 

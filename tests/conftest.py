@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from entangletext import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,11 @@ def bundled_topics(pipeline_config):
 @pytest.fixture(scope="session")
 def bundled_by_id(bundled_topics):
     return {t.topic_id: t for t in bundled_topics}
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

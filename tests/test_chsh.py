@@ -6,6 +6,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entangletext import (
     ConceptPair,
@@ -25,6 +27,7 @@ from entangletext import (
 
 from oracles import (
     chsh_all_orderings,
+    chsh_fraction,
     expectation_fraction,
     max_abs_all_orderings,
     violates_all_orderings,
@@ -46,6 +49,14 @@ def large_small_matrix(large=100, small=1):
             [small, large, large, small],
         ]
     )
+
+
+def _boundary_block():
+    # four blocks whose expectations are 1/3, 1/3, 1/3, -1: float sums can stray
+    # above 2 but the exact statistic is exactly 2
+    third = np.array([[2, 1], [1, 2]])
+    anti = np.array([[0, 5], [5, 0]])
+    return np.block([[third, third], [third, anti]])
 
 
 class TestExpectedValue:
@@ -259,15 +270,112 @@ class TestMaxAbsChsh:
             assert evaluation.violated == violates_all_orderings(counts.tolist())
 
     def test_boundary_exactness(self):
-        # four blocks whose expectations are 1/3, 1/3, 1/3, -1: float sums
-        # can stray above 2 but the exact statistic is exactly 2
-        third = np.array([[2, 1], [1, 2]])  # E = 1/3
-        anti = np.array([[0, 5], [5, 0]])  # E = -1
-        counts = np.block([[third, third], [third, anti]])
+        counts = _boundary_block()
         evaluation = max_abs_chsh(_sub(counts))
         exact = max_abs_all_orderings(counts.tolist())
         assert Fraction(evaluation.max_abs_s).limit_denominator(10**9) == exact
         assert evaluation.violated == violates_all_orderings(counts.tolist())
+
+
+def _tie_rule_argmax(counts):
+    """The documented tie rule, restated over exact |S| of all 144 pairs.
+
+    Partition pairs are grouped by split pair (the unordered row and column
+    pairs they use); groups are ordered by their first partition pair. The
+    argmax is the first partition pair attaining the maximum in the first
+    group that holds it; None when every partition pair is skipped.
+    """
+    groups = {}
+    for index, (row_p, col_p) in enumerate(enumerate_partitions()):
+        key = tuple(
+            frozenset((frozenset(p.unprimed), frozenset(p.primed))) for p in (row_p, col_p)
+        )
+        s = chsh_fraction(counts, row_p.unprimed + row_p.primed, col_p.unprimed + col_p.primed)
+        groups.setdefault(key, []).append((index, None if s is None else abs(s)))
+    values = [v for members in groups.values() for _, v in members if v is not None]
+    if not values:
+        return None
+    best = max(values)
+    for members in groups.values():
+        for index, value in members:
+            if value == best:
+                return index
+
+
+def _assert_exact(counts):
+    """Verdict, maximum, skips and argmax of max_abs_chsh against the oracles."""
+    evaluation = max_abs_chsh(_sub(counts))
+    exact = max_abs_all_orderings(counts)
+    assert evaluation.violated == violates_all_orderings(counts)
+    assert evaluation.max_abs_s == float(exact)
+    undefined = sum(s is None for s in chsh_all_orderings(counts))
+    assert 4 * evaluation.skipped_partitions == undefined  # 4 orderings per pair
+    index = _tie_rule_argmax(counts)
+    if index is None:
+        assert evaluation.argmax is None
+    else:
+        row_p, col_p = evaluation.argmax
+        s = chsh_fraction(counts, row_p.unprimed + row_p.primed, col_p.unprimed + col_p.primed)
+        assert abs(s) == exact
+        assert enumerate_partitions()[index] == evaluation.argmax
+
+
+_counts = st.one_of(st.integers(0, 3), st.integers(0, 40))
+
+
+class TestSplitKernelExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.lists(_counts, min_size=4, max_size=4), min_size=4, max_size=4))
+    def test_matches_exact_oracles(self, counts):
+        _assert_exact(counts)
+
+    @pytest.mark.parametrize("scale", [10**6, 10**15])
+    def test_boundary_block_above_int64_bound(self, scale):
+        evaluation = max_abs_chsh(_sub(_boundary_block() * scale))
+        assert evaluation.max_abs_s == 2.0
+        assert not evaluation.violated
+
+    def test_violation_within_half_an_ulp_of_2_stays_above_2(self):
+        # exact max |S| is 2 + 1/(9 * 10**15), which correctly rounds to 2.0
+        counts = _boundary_block() * 10**15
+        counts[0, 0] += 1
+        exact = max_abs_all_orderings(counts.tolist())
+        assert exact > 2 and float(exact) == 2.0
+        evaluation = max_abs_chsh(_sub(counts))
+        assert evaluation.violated
+        assert evaluation.max_abs_s == np.nextafter(2.0, 3.0)
+
+    def test_split_pairs_tied_in_float_are_ordered_exactly(self):
+        # two split pairs whose exact maxima differ by far less than an ulp:
+        # the later one holds the maximum, so a float argmax would pick wrong
+        k = 10**16
+        counts = [
+            [k, 0, 0, 0],
+            [0, 2 * k, 2 * k, 2 * k],
+            [0, 2 * k, 2 * k, 2 * k - 1],
+            [k, 3 * k, 3 * k, 3 * k],
+        ]
+        _assert_exact(counts)
+
+    def test_random_counts_near_1e8(self):
+        rng = np.random.default_rng(10**8)
+        for counts in rng.integers(10**8 - 1000, 10**8 + 1000, size=(8, 4, 4)):
+            _assert_exact(counts.tolist())
+        # entries near 0 or near 1e8: strong correlations, violations included
+        near = rng.integers(0, 2, size=(12, 4, 4)) * 10**8 + rng.integers(0, 1000, size=(12, 4, 4))
+        assert any(max_abs_chsh(_sub(c)).violated for c in near)
+        for counts in near:
+            _assert_exact(counts.tolist())
+
+    def test_batch_matches_single_matrix_path_above_int64_bound(self):
+        rng = np.random.default_rng(6888)
+        matrices = rng.integers(0, 2, size=(10, 4, 4)) * 10**8 + rng.integers(0, 9, size=(10, 4, 4))
+        max_abs, argmax, skipped = chsh_max_abs_batch(matrices)
+        for k in range(10):
+            evaluation = max_abs_chsh(_sub(matrices[k]))
+            assert max_abs[k] == evaluation.max_abs_s
+            assert skipped[k] == evaluation.skipped_partitions
+            assert enumerate_partitions()[argmax[k]] == evaluation.argmax
 
 
 class TestBatchKernel:

@@ -189,6 +189,40 @@ class TestCli:
         assert code == 2
         assert "no topics" in capsys.readouterr().err
 
+    def _assert_one_line_corpus_error(self, manifest, tmp_path, capsys):
+        code = main(["analyze", str(manifest), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("corpus error: ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_manifest_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b"\xff\xfe" + '{"topics": []}'.encode("utf-16-le"))
+        self._assert_one_line_corpus_error(manifest, tmp_path, capsys)
+
+    def test_non_utf8_document_exit_2(self, tmp_path, capsys):
+        (tmp_path / "d.txt").write_bytes(b"\xff\xfestorm winds")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {"topics": [{"topic_id": "t", "documents": [{"doc_id": "d", "path": "d.txt"}]}]}
+            ),
+            encoding="utf-8",
+        )
+        self._assert_one_line_corpus_error(manifest, tmp_path, capsys)
+
+    @pytest.mark.parametrize("field", ["doc_id", "path"])
+    @pytest.mark.parametrize("value", [["d.txt"], 7, ""], ids=["list", "int", "empty"])
+    def test_non_string_document_field_exit_2(self, field, value, tmp_path, capsys):
+        (tmp_path / "d.txt").write_text("storm winds", encoding="utf-8")
+        entry = {"doc_id": "d", "path": "d.txt", field: value}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"topics": [{"topic_id": "t", "documents": [entry]}]}), encoding="utf-8"
+        )
+        self._assert_one_line_corpus_error(manifest, tmp_path, capsys)
+
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])  # missing manifest and --out

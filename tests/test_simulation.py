@@ -1,6 +1,8 @@
 """Sampling distributions and Monte-Carlo violation estimates."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,3 +181,12 @@ class TestParameterSweep:
     def test_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
             parameter_sweep("zipf", [0.5], [], n_samples=10, seed=1)
+
+
+def test_import_leaves_scipy_out(subprocess_env):
+    code = "import sys, entangletext; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=subprocess_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
