@@ -1,6 +1,7 @@
 """Command-line interface: analyze, simulate, selftest.
 
-Exit codes: 0 ok, 1 usage error, 2 corpus error, 3 selftest failure.
+Exit codes: 0 ok, 1 usage error (including an output path that cannot be
+written), 2 corpus error, 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
         except CorpusError as exc:
             print(f"corpus error: {exc}", file=sys.stderr)
             return 2
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"analyzed {len(reports)} topics -> {config.out_dir}")
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
             curves = run_simulate(
                 args.kind, parameters, args.bounds, args.samples, args.seed, args.out
             )
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {len(curves.estimates)} grid points -> {args.out}")

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,14 +127,6 @@ def cooccurrence_histogram(matrix: CoocMatrix, binning: str = "unit") -> Histogr
         topic_id=matrix.concept_pair.topic_id,
         bins=bins,
     )
-
-
-def merge_counts(parts: Iterable[CoocMatrix]) -> np.ndarray:
-    """Sum partial matrices produced from a partition of the windows."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to merge")
-    return np.sum([p.counts for p in parts], axis=0)
 
 
 def histogram_to_csv(histogram: Histogram, path: str | Path) -> None:

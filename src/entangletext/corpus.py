@@ -77,6 +77,11 @@ class PipelineConfig:
         bad = sorted(w for w in self.stoplist if w != w.lower())
         if bad:
             raise ValueError(f"stoplist entries must be lowercase: {bad[:5]}")
+        # tokens are whole matches (re.findall returns groups instead)
+        if re.compile(self.token_pattern).groups:
+            raise ValueError(
+                f"token_pattern must have no capturing groups, use (?:...): {self.token_pattern!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -142,14 +147,26 @@ def tokenize_and_normalize(raw: RawDocument, config: PipelineConfig) -> TermSequ
 
     Token order is preserved; empty text yields an empty sequence.
     """
+    return _normalize(raw, config, {})
+
+
+def _normalize(raw: RawDocument, config: PipelineConfig, stems: dict[str, str]) -> TermSequence:
+    """tokenize_and_normalize with a caller-owned memo of lowercased token -> stem.
+
+    Stemming is a pure function of the lowercased token, so a memo shared by
+    the documents of one load stems each distinct token once.
+    """
+    stoplist = config.stoplist
     out: list[str] = []
-    for match in re.finditer(config.token_pattern, raw.text):
-        token = match.group()
+    for token in re.findall(config.token_pattern, raw.text):
         lowered = token.lower()
-        if lowered in config.stoplist:
+        if lowered in stoplist:
             continue
         if config.stemming_enabled:
-            out.append(stem(lowered))
+            term = stems.get(lowered)
+            if term is None:
+                term = stems[lowered] = stem(lowered)
+            out.append(term)
         else:
             out.append(lowered if config.lowercase else token)
     return TermSequence(doc_id=raw.doc_id, terms=tuple(out))
@@ -195,6 +212,7 @@ def load_topic_corpus(
         raise _manifest_error(manifest_path, "no topics")
 
     base = manifest_path.parent
+    stems: dict[str, str] = {}  # lives for this load only
     corpora: list[TopicCorpus] = []
     seen_topics: set[str] = set()
     for entry in topics:
@@ -242,7 +260,7 @@ def load_topic_corpus(
                     manifest_path, f"document {doc_id!r} of topic {topic_id!r} is empty: {doc_path}"
                 )
             raw = RawDocument(doc_id=doc_id, topic_id=topic_id, text=text)
-            documents.append(tokenize_and_normalize(raw, config))
+            documents.append(_normalize(raw, config, stems))
         corpora.append(
             TopicCorpus(topic_id=topic_id, documents=tuple(documents), window_size=window_size)
         )

@@ -120,12 +120,23 @@ def _pipeline_config(config: RunConfig) -> PipelineConfig:
     return PipelineConfig(stoplist=stoplist, stemming_enabled=config.stemming)
 
 
+def _check_can_be_dir(path: Path) -> None:
+    """Raise ValueError when path, or the nearest of its ancestors that
+    exists, is not a directory, so a run fails before its work, not after."""
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise ValueError(f"output path {candidate} exists and is not a directory")
+            return
+
+
 def run_analyze(config: RunConfig) -> list[TopicReport]:
     """Execute the full analysis and write all artifacts under out_dir.
 
     Returns the per-topic reports in the emitted order (descending p at the
     smallest window size for the first configured method, ties by topic_id).
     """
+    _check_can_be_dir(config.out_dir)
     pipeline = _pipeline_config(config)
     base_topics = load_topic_corpus(config.manifest, pipeline, config.window_sizes[0])
     df = document_frequencies(base_topics)
@@ -288,8 +299,11 @@ def run_simulate(
     out_path: str | Path,
 ) -> CurveSet:
     """Run a parameter sweep and write the curve CSV plus a metadata sidecar."""
-    curves = parameter_sweep(kind, parameters, bounds, n_samples=n_samples, seed=seed)
     out_path = Path(out_path)
+    if out_path.is_dir():
+        raise ValueError(f"output path {out_path} is a directory")
+    _check_can_be_dir(out_path.parent)
+    curves = parameter_sweep(kind, parameters, bounds, n_samples=n_samples, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     curves_to_csv(curves, out_path)
     sidecar = {

@@ -1,6 +1,8 @@
 """Tokenization, window segmentation, and manifest loading."""
 
 import json
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from entangletext import (
     segment_windows,
     tokenize_and_normalize,
 )
+from entangletext import corpus
 
 from oracles import normalize_reference
 
@@ -69,6 +72,12 @@ class TestTokenizeAndNormalize:
     def test_stoplist_must_be_lowercase(self):
         with pytest.raises(ValueError, match="lowercase"):
             PipelineConfig(stoplist=frozenset({"The"}))
+
+
+    def test_capturing_group_pattern_rejected(self):
+        with pytest.raises(ValueError, match="capturing groups"):
+            PipelineConfig(token_pattern=r"([A-Za-z])+")
+        PipelineConfig(token_pattern=r"(?:[A-Za-z])+")
 
 
 class TestSegmentWindows:
@@ -129,6 +138,51 @@ class TestLoadTopicCorpus:
         topics = load_topic_corpus(manifest, pipeline_config, 5)
         assert [t.topic_id for t in topics] == ["t1", "t2"]
         assert all(len(t.documents) == 3 for t in topics)
+
+    _MIXED = {
+        "t1": {
+            "a": "The Cats and the CATS growled; cats Growled at THE gate.",
+            "b": "Wills will WILL; growling Cats, gated GATES and the cat.",
+        },
+        "t2": {"x": "Growled GROWLED growls; the Gate and the gates.", "y": "And THE cats."},
+    }
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"stemming_enabled": False}, {"lowercase": False},
+         {"lowercase": False, "stemming_enabled": False}],
+        ids=["stem", "no-stem", "keep-case", "keep-case-no-stem"],
+    )
+    def test_terms_equal_per_document_normalization(self, options, tmp_path):
+        config = PipelineConfig(stoplist=frozenset({"the", "and", "will"}), **options)
+        topics = load_topic_corpus(self._write_corpus(tmp_path, self._MIXED), config, 5)
+        for topic in topics:
+            for doc in topic.documents:
+                raw = RawDocument(doc.doc_id, topic.topic_id, self._MIXED[topic.topic_id][doc.doc_id])
+                assert doc.terms == tokenize_and_normalize(raw, config).terms
+
+    def test_each_distinct_token_stemmed_once_per_load(self, monkeypatch, pipeline_config):
+        calls = Counter()
+        real_stem = corpus.stem
+
+        def counting_stem(word):
+            calls[word] += 1
+            return real_stem(word)
+
+        monkeypatch.setattr(corpus, "stem", counting_stem)
+        manifest = bundled_corpus_path()
+        distinct = set()
+        for topic in json.loads(manifest.read_text(encoding="utf-8"))["topics"]:
+            for entry in topic["documents"]:
+                text = (manifest.parent / entry["path"]).read_text(encoding="utf-8")
+                distinct.update(t.lower() for t in re.findall(r"[A-Za-z]+", text))
+        distinct -= pipeline_config.stoplist
+
+        load_topic_corpus(manifest, pipeline_config, 5)
+        assert calls == Counter(dict.fromkeys(distinct, 1))
+        # a second load stems everything again: no memo outlives a load
+        load_topic_corpus(manifest, pipeline_config, 5)
+        assert calls == Counter(dict.fromkeys(distinct, 2))
 
     def test_missing_manifest(self, tmp_path, pipeline_config):
         with pytest.raises(CorpusError, match="not found"):

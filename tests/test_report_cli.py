@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from entangletext import RunConfig, bundled_corpus_path, run_analyze, run_simulate
+from entangletext import RunConfig, bundled_corpus_path, report, run_analyze, run_simulate
 from entangletext.cli import main
 from entangletext.report import max_workers
 
@@ -222,6 +222,48 @@ class TestCli:
             json.dumps({"topics": [{"topic_id": "t", "documents": [entry]}]}), encoding="utf-8"
         )
         self._assert_one_line_corpus_error(manifest, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_one_line_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_out_under_a_file_rejected_before_work(self, command, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(report, "load_topic_corpus", must_not_run)
+        monkeypatch.setattr(report, "parameter_sweep", must_not_run)
+        blocker = tmp_path / "file"
+        blocker.touch()
+        if command == "analyze":
+            argv = ["analyze", str(bundled_corpus_path()), "--out", str(blocker)]
+        else:
+            argv = ["simulate", "--kind", "homogeneous", "--out", str(blocker / "x.csv")]
+        self._assert_one_line_error(main(argv), capsys)
+        assert blocker.is_file() and blocker.stat().st_size == 0
+
+    def test_simulate_out_is_directory_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--kind", "homogeneous", "--out", str(tmp_path)])
+        self._assert_one_line_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_write_error_exit_1(self, command, tmp_path, capsys):
+        # the output location passes the up-front check; a file the run
+        # must create is already taken by a directory or a file
+        if command == "analyze":
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "rankings").touch()
+            argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "out"),
+                    "--window", "5", "--relevance", "frequency"]
+        else:
+            (tmp_path / "c.csv.meta.json").mkdir()
+            argv = ["simulate", "--kind", "homogeneous", "--B", "5", "--samples", "20",
+                    "--out", str(tmp_path / "c.csv")]
+        self._assert_one_line_error(main(argv), capsys)
 
     def test_usage_error_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
