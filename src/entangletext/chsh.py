@@ -82,8 +82,9 @@ _SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
 _DENOMINATOR_LIMIT = 6888
 
-# Subset pairs per kernel call in the full-matrix scan; much larger chunks
-# raise peak memory without speeding the scan.
+# Subset pairs per chunk of the full-matrix scan, rounded to whole rows of
+# row subsets (at least one); 4x larger chunks nearly triple peak memory
+# and save under a tenth of the bundled scan time.
 _SCAN_CHUNK = 4096
 
 
@@ -365,14 +366,67 @@ def submatrix_of(
     return SubMatrix(rows=rows, cols=cols, counts=block)
 
 
+def _split_halves(subsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair numbers of the two halves of every (4-subset, split) of range(n).
+
+    Pairs are numbered in combinations(range(n), 2) order and the three
+    splits of each subset follow _SPLITS; half 0 holds the subset's first
+    index.
+    """
+    pair_index = np.zeros((n, n), dtype=np.intp)
+    pairs = np.array(list(combinations(range(n), 2)))
+    pair_index[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+    halves = np.array(_SPLITS)  # (split, half, 2)
+    members = subsets[:, halves]  # (subset, split, half, 2)
+    index = pair_index[members[..., 0], members[..., 1]].reshape(-1, 2)
+    return index[:, 0], index[:, 1]
+
+
+def _abs_expectations(counts: np.ndarray) -> np.ndarray:
+    """|E| of every (row pair, column pair) block of a count matrix; -inf if empty."""
+    f = counts.astype(np.float64)
+    rows = np.array(list(combinations(range(f.shape[0]), 2)))
+    cols = np.array(list(combinations(range(f.shape[1]), 2)))
+    r1, r2 = rows[:, 0, None], rows[:, 1, None]
+    c1, c2 = cols[None, :, 0], cols[None, :, 1]
+    f11, f12, f21, f22 = f[r1, c1], f[r1, c2], f[r2, c1], f[r2, c2]
+    denom = f11 + f12 + f21 + f22
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.abs(f11 + f22 - f12 - f21) / denom
+    table[denom == 0] = -np.inf
+    return table
+
+
 def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> ProportionReport:
     """Scan every pair of 4-term subsets of the concept terms.
 
     A subset pair is entangled when some partition pair yields |S| > 2.
-    With 10-term concepts this is 210 x 210 = 44,100 subset pairs, whose
-    4x4 blocks are gathered and scanned _SCAN_CHUNK at a time. When
+    With 10-term concepts this is 210 x 210 = 44,100 subset pairs. When
     ``top_details`` > 0, the strongest violating pairs are attached to the
     report (ordered by |S| descending, then subset indices).
+
+    Most subset pairs are proven safe before any exact arithmetic. Each of
+    the 16 partition pairs of a split pair adds its four block expectations
+    x with signs of +1 or -1, so none reaches |S| above sum|x|, and a
+    subset pair whose nine split pairs all have sum|x| <= 2 cannot violate.
+    The scan takes |x| from one table over (row pair, column pair) blocks
+    and sums it for every split pair of about _SCAN_CHUNK subset pairs at a
+    time, so memory stays bounded as k grows. Only subset pairs with some
+    split pair above 2 - 1e-9 reach ``_split_kernel``, on their full 4x4
+    block, so every verdict, |S|, argmax and tie rule is the kernel's exact
+    one. The prune cannot drop a violation:
+
+    - Each |x| is a float quotient of integer sums, correctly rounded while
+      counts stay below 2**51 and within a few 2**-53 of the exact value
+      beyond; a float sum of four is then within about 1e-14 of the exact
+      sum|x|, far inside the 1e-9 margin.
+    - An empty block has |x| = -inf, so its split pair sums to -inf and
+      never survives; ``_split_kernel`` skips such split pairs too.
+    - The prune only proves pairs safe: it never decides a violation, so
+      no float band comes back.
+
+    Violating pairs are counted per chunk and only the strongest
+    ``top_details`` of them are kept, so no array spans all subset pairs.
     """
     n_rows, n_cols = matrix.counts.shape
     if n_rows < 4 or n_cols < 4:
@@ -382,32 +436,49 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     col_subsets = np.array(list(combinations(range(n_cols), 4)))
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
-    signed = np.empty(n_total)
-    argmax = np.empty(n_total, dtype=np.int64)
-    for start in range(0, n_total, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, n_total)
-        rs, cs = np.divmod(np.arange(start, stop), n_cs)
-        blocks = matrix.counts[row_subsets[rs][:, :, None], col_subsets[cs][:, None, :]]
-        signed[start:stop], argmax[start:stop], _ = _split_kernel(blocks)
+    table = _abs_expectations(matrix.counts)
+    row_h0, row_h1 = _split_halves(row_subsets, n_rows)
+    col_h0, col_h1 = _split_halves(col_subsets, n_cols)
+    step = max(1, _SCAN_CHUNK // n_cs)
 
-    max_abs = np.abs(signed)
-    violated = max_abs > VIOLATION_BOUND
-    n_entangled = int(violated.sum())
+    n_entangled = 0
+    top_index = np.empty(0, dtype=np.int64)
+    top_signed = np.empty(0)
+    top_argmax = np.empty(0, dtype=np.int64)
+    for first in range(0, len(row_subsets), step):
+        rows = slice(3 * first, 3 * (first + step))
+        # sum|x| of a split pair is u[column half 0] + u[column half 1], where
+        # u sums the |x| of the row split's two halves per column pair
+        u = table[row_h0[rows]] + table[row_h1[rows]]
+        bound = u[:, col_h0] + u[:, col_h1]
+        alive = (bound > VIOLATION_BOUND - 1e-9).reshape(-1, 3, n_cs, 3)
+        rs, cs = np.nonzero(alive.any(axis=3).any(axis=1))
+        if not len(rs):
+            continue
+        rs += first
+        blocks = matrix.counts[row_subsets[rs][:, :, None], col_subsets[cs][:, None, :]]
+        signed, argmax, _ = _split_kernel(blocks)
+        violated = np.abs(signed) > VIOLATION_BOUND
+        n_entangled += int(violated.sum())
+        if top_details > 0:
+            top_index = np.concatenate([top_index, (rs * n_cs + cs)[violated]])
+            top_signed = np.concatenate([top_signed, signed[violated]])
+            top_argmax = np.concatenate([top_argmax, argmax[violated]])
+            keep = np.lexsort((top_index, -np.abs(top_signed)))[:top_details]
+            top_index, top_signed, top_argmax = top_index[keep], top_signed[keep], top_argmax[keep]
 
     details: tuple[PairDetail, ...] | None = None
     if top_details > 0:
-        flat_idx = np.flatnonzero(violated)
-        order = np.lexsort((flat_idx, -max_abs[flat_idx]))
         pair = matrix.concept_pair
         built = []
-        for idx in flat_idx[order][:top_details].tolist():
+        for idx, s, arg in zip(top_index.tolist(), top_signed.tolist(), top_argmax.tolist()):
             rs_idx, cs_idx = divmod(idx, n_cs)
-            row_partition, col_partition = _partition_pair(int(argmax[idx]))
+            row_partition, col_partition = _partition_pair(arg)
             built.append(
                 PairDetail(
                     row_terms=tuple(pair.c1[i] for i in row_subsets[rs_idx]),
                     col_terms=tuple(pair.c2[j] for j in col_subsets[cs_idx]),
-                    s=float(signed[idx]),
+                    s=s,
                     row_partition=row_partition,
                     col_partition=col_partition,
                 )

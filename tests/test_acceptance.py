@@ -8,8 +8,10 @@ every support bound. See the analysis rationale in the failure message.
 """
 
 import filecmp
+import hashlib
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from oracles import (
     max_abs_all_orderings,
 )
 
+DATA = Path(__file__).parent / "data"
 SWEEP_SEED = 42
 BASELINE_SEED = 20240811
 
@@ -319,3 +322,22 @@ def test_determinism_bitwise(tmp_path, analyze_run):
         == sim_b.with_suffix(".csv.meta.json").read_bytes()
     )
     _ok("determinism: analyze and simulate outputs bitwise identical")
+
+
+def test_artifacts_match_committed_digests(analyze_run):
+    """Default bundled artifacts equal the sha256 digests committed in
+    tests/data/bundled_artifacts.sha256 (run_metadata.json, which embeds the
+    manifest path, left out); regenerate that file only for a deliberate
+    artifact change."""
+    out, _, _ = analyze_run
+    lines = (DATA / "bundled_artifacts.sha256").read_text(encoding="utf-8").splitlines()
+    expected = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    actual = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*")
+        if p.is_file() and p.name != "run_metadata.json"
+    }
+    assert sorted(actual) == sorted(expected)
+    changed = [name for name in sorted(expected) if actual[name] != expected[name]]
+    assert not changed, f"artifacts differ from the committed digests: {changed}"
+    _ok(f"default bundled artifacts match {len(expected)} committed digests")

@@ -1,5 +1,6 @@
 """CHSH statistics: expectations, partitions, scans, and their invariants."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from entangletext import (
     ConceptPair,
     CoocMatrix,
+    PairDetail,
     Partition,
     SubMatrix,
     canonical_partitions,
@@ -24,6 +26,7 @@ from entangletext import (
     max_abs_chsh,
     submatrix_of,
 )
+from entangletext import chsh
 
 from oracles import (
     chsh_all_orderings,
@@ -414,6 +417,39 @@ def _cooc_from_counts(counts, method="frequency"):
     )
 
 
+def _unpruned_scan(matrix, top_details):
+    """Reference scan: _split_kernel on every subset pair, then one global
+    (-|S|, subset-pair index) sort; returns (n_entangled, details)."""
+    counts, pair = matrix.counts, matrix.concept_pair
+    rows = list(combinations(range(counts.shape[0]), 4))
+    cols = list(combinations(range(counts.shape[1]), 4))
+    blocks = np.array([counts[np.ix_(r, c)] for r in rows for c in cols])
+    signed, argmax, _ = chsh._split_kernel(blocks)
+    violated = np.flatnonzero(np.abs(signed) > 2).tolist()
+    order = sorted(violated, key=lambda i: (-abs(signed[i]), i))
+    details = tuple(
+        PairDetail(
+            row_terms=tuple(pair.c1[i] for i in rows[idx // len(cols)]),
+            col_terms=tuple(pair.c2[j] for j in cols[idx % len(cols)]),
+            s=float(signed[idx]),
+            row_partition=enumerate_partitions()[argmax[idx]][0],
+            col_partition=enumerate_partitions()[argmax[idx]][1],
+        )
+        for idx in order[:top_details]
+    )
+    return len(violated), details if top_details > 0 else None
+
+
+@st.composite
+def _small_counts(draw):
+    # entries in {0, 1, 2}: block sums land exactly on 2 and empty blocks occur;
+    # the large scale puts 4 x (largest count) above the int64 bound of 6888
+    k = draw(st.integers(4, 7))
+    flat = draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
+    scale = draw(st.sampled_from([1, 10**4]))
+    return np.array(flat, dtype=np.int64).reshape(k, k) * scale
+
+
 class TestEntanglementProportion:
     def test_uniform_matrix_no_violations(self):
         matrix = _cooc_from_counts(np.full((10, 10), 4, dtype=np.int64))
@@ -499,3 +535,57 @@ class TestEntanglementProportion:
         strengths = [abs(d.s) for d in report.details]
         assert strengths == sorted(strengths, reverse=True)
         assert len(report.details) == min(50, report.n_pairs_entangled)
+
+    @settings(max_examples=80, deadline=None)
+    @given(counts=_small_counts(), top_details=st.integers(0, 12))
+    def test_pruned_scan_equals_unpruned_reference(self, counts, top_details):
+        matrix = _cooc_from_counts(counts)
+        report = entanglement_proportion(matrix, top_details=top_details)
+        n_entangled, details = _unpruned_scan(matrix, top_details)
+        assert report.n_pairs_entangled == n_entangled
+        assert report.details == details
+
+    def test_pruned_scan_equals_exact_oracle_on_6x6(self):
+        # entries in {0, 1, 2}, as drawn and scaled above the int64 bound
+        counts = np.random.default_rng(62).integers(0, 3, size=(6, 6)).astype(np.int64)
+        expected = sum(
+            violates_all_orderings(counts[np.ix_(rows, cols)].tolist())
+            for rows in combinations(range(6), 4)
+            for cols in combinations(range(6), 4)
+        )
+        assert 0 < expected < 225
+        for scale in (1, 3000):
+            report = entanglement_proportion(_cooc_from_counts(counts * scale))
+            assert report.n_pairs_entangled == expected
+
+    def test_tied_details_across_chunks(self, monkeypatch):
+        # 555 violations with |S| exactly 4 among 4,142; one row of subsets
+        # (70 subset pairs) per chunk, so the tied top spans many chunks
+        counts = np.random.default_rng(1).integers(0, 2, size=(8, 8))
+        matrix = _cooc_from_counts(counts)
+        monkeypatch.setattr(chsh, "_SCAN_CHUNK", 1)
+        for top_details in (100, 5000):
+            report = entanglement_proportion(matrix, top_details=top_details)
+            n_entangled, details = _unpruned_scan(matrix, top_details)
+            assert report.n_pairs_entangled == n_entangled
+            assert report.details == details
+            assert len(report.details) == min(top_details, n_entangled)
+        assert all(abs(d.s) == 4.0 for d in report.details[:555])
+        first_rows = {d.row_terms for d in report.details[:100]}
+        assert len(first_rows) > 1
+
+    def test_memory_bounded_at_k15(self):
+        # the full-length signed + argmax arrays alone took 1,863,225 x 16 B
+        counts = np.full((15, 15), 20, dtype=np.int64)
+        counts += np.random.default_rng(15).integers(0, 3, size=(15, 15))
+        counts[:4, :4] = large_small_matrix()
+        matrix = _cooc_from_counts(counts)
+        tracemalloc.start()
+        try:
+            report = entanglement_proportion(matrix, top_details=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs_total == 1_863_225
+        assert report.n_pairs_entangled >= 1
+        assert peak < 1_863_225 * 16
