@@ -18,7 +18,7 @@ from entangletext import (
 
 
 def main():
-    topics = load_topic_corpus(bundled_corpus_path(), PipelineConfig(), window_size=5)
+    topics = load_topic_corpus(bundled_corpus_path(), PipelineConfig())
     df = document_frequencies(topics)
 
     for topic in topics:

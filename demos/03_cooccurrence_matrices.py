@@ -6,8 +6,6 @@ concept terms meet somewhere, while width 5 leaves many zero cells next
 to a few large ones, the profile that favors CHSH violations.
 """
 
-from dataclasses import replace
-
 from entangletext import (
     PipelineConfig,
     build_concept_pair,
@@ -20,16 +18,15 @@ from entangletext import (
 
 
 def main():
-    topics = load_topic_corpus(bundled_corpus_path(), PipelineConfig(), window_size=20)
+    topics = load_topic_corpus(bundled_corpus_path(), PipelineConfig())
     topic = topics[0]
     pair = build_concept_pair(rank_by_frequency(topic))
     print(f"topic {topic.topic_id}: c1={list(pair.c1)}")
     print(f"{'':14}c2={list(pair.c2)}")
 
     for width in (20, 10, 5):
-        windows = replace(topic, window_size=width).windows()
-        matrix = count_cooccurrences(pair, windows, width)
-        hist = cooccurrence_histogram(matrix, "unit")
+        matrix = count_cooccurrences(pair, topic.windows(width), width)
+        hist = cooccurrence_histogram(matrix)
         print(f"\nwindow size {width}: {matrix.n_windows} windows")
         header = " ".join(f"{t[:6]:>6}" for t in pair.c2)
         print(f"{'':10} {header}")

@@ -288,7 +288,8 @@ def _rebalance(rng, docs, spec):
         for g in range(len(docs[d]))
         if (d, g) != planted
     ]
-    plant_mids = {spec["unique_pair"][1], spec["forbidden_pair"][1]}
+    # a tuple, not a set: low[0] below must not depend on string hashing
+    plant_mids = (spec["unique_pair"][1], spec["forbidden_pair"][1])
 
     def swap_one(donor, receiver):
         rng.shuffle(positions)
@@ -448,13 +449,13 @@ def main():
 
     # cross-method sanity on the frozen files: concepts exist for both methods
     # and planted terms land inside the scanned matrices
-    topics20 = corpus_mod.load_topic_corpus(manifest_path, config, 20)
-    df = relevance.document_frequencies(topics20)
-    for topic in topics20:
+    topics = corpus_mod.load_topic_corpus(manifest_path, config)
+    df = relevance.document_frequencies(topics)
+    for topic in topics:
         spec = TOPICS[topic.topic_id]
         freq_pair = relevance.build_concept_pair(relevance.rank_by_frequency(topic))
         tfidf_pair = relevance.build_concept_pair(
-            relevance.rank_by_tfidf(topic, topics20, df=df)
+            relevance.rank_by_tfidf(topic, topics, df=df)
         )
         theme = set(spec["theme_a"] + spec["theme_b"])
         assert set(freq_pair.c1) == theme

@@ -29,7 +29,6 @@ from .cooccurrence import (
     Histogram,
     cooccurrence_histogram,
     count_cooccurrences,
-    histogram_to_csv,
     matrix_to_csv,
 )
 from .corpus import (
@@ -50,8 +49,6 @@ from .porter import stem
 from .relevance import (
     ConceptPair,
     RankedTerms,
-    TermStats,
-    term_statistics,
     build_concept_pair,
     document_frequencies,
     rank_by_frequency,
@@ -68,7 +65,6 @@ from .simulation import (
     distribution_pmf,
     estimate_violation_probability,
     parameter_sweep,
-    sample_submatrix,
 )
 
 __all__ = [
@@ -88,11 +84,9 @@ __all__ = [
     "load_topic_corpus",
     "bundled_corpus_path",
     # relevance
-    "TermStats",
     "RankedTerms",
     "ConceptPair",
     "document_frequencies",
-    "term_statistics",
     "rank_by_frequency",
     "rank_by_tfidf",
     "build_concept_pair",
@@ -103,7 +97,6 @@ __all__ = [
     "count_cooccurrences",
     "cooccurrence_histogram",
     "matrix_to_csv",
-    "histogram_to_csv",
     # chsh
     "Partition",
     "SubMatrix",
@@ -123,7 +116,6 @@ __all__ = [
     "ViolationEstimate",
     "CurveSet",
     "distribution_pmf",
-    "sample_submatrix",
     "estimate_violation_probability",
     "parameter_sweep",
     "curves_to_csv",

@@ -76,14 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--no-stem", action="store_true", help="disable Porter stemming"
     )
-    analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument(
         "--top-violations",
         type=int,
         default=10,
         help="violating subset pairs kept per result JSON",
     )
-    analyze.add_argument("--k", type=int, default=10, help="terms per concept")
+    analyze.add_argument("--k", type=int, default=10, help="terms per concept (at least 4)")
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo violation-probability curves")
     simulate.add_argument(
@@ -125,18 +124,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
-        config = RunConfig(
-            manifest=args.manifest,
-            out_dir=args.out,
-            window_sizes=tuple(args.window) if args.window else (20, 10, 5),
-            methods=tuple(args.relevance) if args.relevance else ("frequency", "tfidf"),
-            concept_size=args.k,
-            seed=args.seed,
-            stoplist_path=args.stoplist,
-            stemming=not args.no_stem,
-            top_violations=args.top_violations,
-        )
         try:
+            config = RunConfig(
+                manifest=args.manifest,
+                out_dir=args.out,
+                window_sizes=tuple(args.window) if args.window else (20, 10, 5),
+                methods=tuple(args.relevance) if args.relevance else ("frequency", "tfidf"),
+                concept_size=args.k,
+                stoplist_path=args.stoplist,
+                stemming=not args.no_stem,
+                top_violations=args.top_violations,
+            )
             reports = run_analyze(config)
         except CorpusError as exc:
             print(f"corpus error: {exc}", file=sys.stderr)

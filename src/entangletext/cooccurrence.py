@@ -9,7 +9,6 @@ therefore merge by plain integer addition.
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,6 @@ __all__ = [
     "count_cooccurrences",
     "cooccurrence_histogram",
     "matrix_to_csv",
-    "histogram_to_csv",
 ]
 
 
@@ -56,7 +54,7 @@ class CoocMatrix:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Tally of matrix entries by co-occurrence value (or value range)."""
+    """Tally of matrix entries by co-occurrence value."""
 
     window_size: int
     topic_id: str
@@ -102,41 +100,13 @@ def count_cooccurrences(
     )
 
 
-def cooccurrence_histogram(matrix: CoocMatrix, binning: str = "unit") -> Histogram:
-    """Tally the matrix entries.
-
-    ``unit``: one bin per distinct value. ``log2``: ranges [2^k, 2^(k+1))
-    keyed as (lo, hi) tuples, with a dedicated (0, 1) bin for zero entries.
-    """
-    values = matrix.counts.ravel().tolist()
-    if binning == "unit":
-        bins = dict(sorted(Counter(values).items()))
-    elif binning == "log2":
-        tally: Counter = Counter()
-        for v in values:
-            if v == 0:
-                tally[(0, 1)] += 1
-            else:
-                k = int(math.floor(math.log2(v)))
-                tally[(2**k, 2 ** (k + 1))] += 1
-        bins = dict(sorted(tally.items()))
-    else:
-        raise ValueError(f"unknown binning {binning!r} (expected 'unit' or 'log2')")
+def cooccurrence_histogram(matrix: CoocMatrix) -> Histogram:
+    """Tally the matrix entries: one bin per distinct value, ascending."""
     return Histogram(
         window_size=matrix.window_size,
         topic_id=matrix.concept_pair.topic_id,
-        bins=bins,
+        bins=dict(sorted(Counter(matrix.counts.ravel().tolist()).items())),
     )
-
-
-def histogram_to_csv(histogram: Histogram, path: str | Path) -> None:
-    """Write (n, count) rows; range bins are rendered as "lo-hi"."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "count"])
-        for key, count in histogram.bins.items():
-            label = f"{key[0]}-{key[1]}" if isinstance(key, tuple) else key
-            writer.writerow([label, count])
 
 
 def matrix_to_csv(matrix: CoocMatrix, path: str | Path) -> None:

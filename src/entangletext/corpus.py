@@ -119,27 +119,20 @@ class Window:
 
 @dataclass(frozen=True)
 class TopicCorpus:
-    """All normalized documents of one topic plus the window size in force."""
+    """All normalized documents of one topic."""
 
     topic_id: str
     documents: tuple[TermSequence, ...]
-    window_size: int
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
-        if self.window_size < 1:
-            raise ValueError(f"window size must be >= 1, got {self.window_size}")
 
-    def windows(self) -> list[Window]:
-        """Windows of every document, in document order."""
+    def windows(self, window_size: int) -> list[Window]:
+        """Windows of width window_size over every document, in document order."""
         out: list[Window] = []
         for doc in self.documents:
-            out.extend(segment_windows(doc, self.window_size))
+            out.extend(segment_windows(doc, window_size))
         return out
-
-    def iter_terms(self):
-        for doc in self.documents:
-            yield from doc.terms
 
 
 def tokenize_and_normalize(raw: RawDocument, config: PipelineConfig) -> TermSequence:
@@ -186,11 +179,7 @@ def _manifest_error(path, detail):
     return CorpusError(f"manifest {path}: {detail}")
 
 
-def load_topic_corpus(
-    manifest_path: str | Path,
-    config: PipelineConfig,
-    window_size: int,
-) -> list[TopicCorpus]:
+def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list[TopicCorpus]:
     """Load every topic listed in a manifest file.
 
     The manifest is JSON of the form
@@ -261,9 +250,7 @@ def load_topic_corpus(
                 )
             raw = RawDocument(doc_id=doc_id, topic_id=topic_id, text=text)
             documents.append(_normalize(raw, config, stems))
-        corpora.append(
-            TopicCorpus(topic_id=topic_id, documents=tuple(documents), window_size=window_size)
-        )
+        corpora.append(TopicCorpus(topic_id=topic_id, documents=tuple(documents)))
     return corpora
 
 

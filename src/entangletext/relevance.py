@@ -21,11 +21,9 @@ from .corpus import CorpusError, TopicCorpus
 
 __all__ = [
     "CONCEPT_SIZE",
-    "TermStats",
     "RankedTerms",
     "ConceptPair",
     "document_frequencies",
-    "term_statistics",
     "rank_by_frequency",
     "rank_by_tfidf",
     "build_concept_pair",
@@ -33,14 +31,6 @@ __all__ = [
 ]
 
 CONCEPT_SIZE = 10
-_MIN_DISTINCT = 2 * CONCEPT_SIZE
-
-
-@dataclass(frozen=True)
-class TermStats:
-    term: str
-    tf: int
-    df: int
 
 
 @dataclass(frozen=True)
@@ -84,14 +74,6 @@ def _topic_counts(topic: TopicCorpus) -> Counter:
     return counts
 
 
-def _require_vocabulary(topic_id: str, n_distinct: int) -> None:
-    if n_distinct < _MIN_DISTINCT:
-        raise CorpusError(
-            f"topic {topic_id!r}: insufficient vocabulary "
-            f"({n_distinct} distinct terms, need at least {_MIN_DISTINCT})"
-        )
-
-
 def document_frequencies(collection: Iterable[TopicCorpus]) -> Counter:
     """Number of documents, collection-wide, containing each term.
 
@@ -104,26 +86,9 @@ def document_frequencies(collection: Iterable[TopicCorpus]) -> Counter:
     return df
 
 
-def term_statistics(
-    topic: TopicCorpus, collection: Iterable[TopicCorpus] | None = None
-) -> list[TermStats]:
-    """Per-term occurrence and document counts, most frequent first.
-
-    ``collection`` widens the document-frequency scope beyond the topic
-    itself (the tf-idf ranking uses the whole collection).
-    """
-    counts = _topic_counts(topic)
-    df = document_frequencies(collection if collection is not None else [topic])
-    return [
-        TermStats(term=term, tf=tf, df=df[term])
-        for term, tf in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    ]
-
-
 def rank_by_frequency(topic: TopicCorpus) -> RankedTerms:
     """Rank a topic's terms by occurrence count, ties lexicographic."""
     counts = _topic_counts(topic)
-    _require_vocabulary(topic.topic_id, len(counts))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return RankedTerms(
         topic_id=topic.topic_id,
@@ -151,7 +116,6 @@ def rank_by_tfidf(
     n_docs = sum(len(t.documents) for t in collection)
 
     counts = _topic_counts(topic)
-    _require_vocabulary(topic.topic_id, len(counts))
     scored = [
         (term, tf * (math.log((n_docs + 1) / (df[term] + 1)) + 1.0))
         for term, tf in counts.items()

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +57,6 @@ class RunConfig:
     window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
     methods: tuple[str, ...] = DEFAULT_METHODS
     concept_size: int = 10
-    seed: int = 0
     stoplist_path: Path | None = None
     stemming: bool = True
     top_violations: int = 10
@@ -74,6 +73,11 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in DEFAULT_METHODS]
         if unknown or not self.methods:
             raise ValueError(f"unknown relevance methods: {unknown}")
+        # a CHSH subset pair takes 4 terms from each concept
+        if self.concept_size < 4:
+            raise ValueError(f"concept size must be >= 4, got {self.concept_size}")
+        if self.top_violations < 0:
+            raise ValueError(f"top violations must be >= 0, got {self.top_violations}")
 
 
 @dataclass
@@ -138,17 +142,17 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
     """
     _check_can_be_dir(config.out_dir)
     pipeline = _pipeline_config(config)
-    base_topics = load_topic_corpus(config.manifest, pipeline, config.window_sizes[0])
-    df = document_frequencies(base_topics)
+    topics = load_topic_corpus(config.manifest, pipeline)
+    df = document_frequencies(topics)
 
     # rankings and concept pairs are window-independent
     pairs = {}
-    for topic in base_topics:
+    for topic in topics:
         for method in config.methods:
             ranked = (
                 rank_by_frequency(topic)
                 if method == "frequency"
-                else rank_by_tfidf(topic, base_topics, df=df)
+                else rank_by_tfidf(topic, topics, df=df)
             )
             pairs[(topic.topic_id, method)] = (
                 ranked,
@@ -156,8 +160,8 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
             )
 
     windows = {
-        (topic.topic_id, w): replace(topic, window_size=w).windows()
-        for topic in base_topics
+        (topic.topic_id, w): topic.windows(w)
+        for topic in topics
         for w in config.window_sizes
     }
 
@@ -166,11 +170,11 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
         pair = pairs[(topic_id, method)][1]
         matrix = count_cooccurrences(pair, windows[(topic_id, window_size)], window_size)
         report = entanglement_proportion(matrix, top_details=config.top_violations)
-        return job, (report, cooccurrence_histogram(matrix, "unit"), matrix)
+        return job, (report, cooccurrence_histogram(matrix), matrix)
 
     jobs = [
         (topic.topic_id, w, m)
-        for topic in base_topics
+        for topic in topics
         for w in config.window_sizes
         for m in config.methods
     ]
@@ -179,7 +183,7 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
         for job, cell in pool.map(run_cell, jobs):
             results[job] = cell
 
-    reports = {topic.topic_id: TopicReport(topic_id=topic.topic_id) for topic in base_topics}
+    reports = {topic.topic_id: TopicReport(topic_id=topic.topic_id) for topic in topics}
     for (topic_id, w, m), cell in results.items():
         reports[topic_id].cells[(w, m)] = cell
 
@@ -281,7 +285,7 @@ def _write_outputs(ordered, pairs, config: RunConfig) -> None:
         "window_sizes": list(config.window_sizes),
         "methods": list(config.methods),
         "concept_size": config.concept_size,
-        "seed": config.seed,
+        "top_violations": config.top_violations,
         "stoplist": str(config.stoplist_path) if config.stoplist_path else "bundled",
         "stemming": config.stemming,
     }

@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .chsh import SubMatrix, VIOLATION_BOUND, chsh_max_abs_batch
+from .chsh import VIOLATION_BOUND, chsh_max_abs_batch
 
 __all__ = [
     "DistributionSpec",
     "ViolationEstimate",
     "CurveSet",
     "distribution_pmf",
-    "sample_submatrix",
     "estimate_violation_probability",
     "parameter_sweep",
     "curves_to_csv",
@@ -71,15 +70,6 @@ class DistributionSpec:
     def poisson(cls, mean: float, support_bound: int) -> "DistributionSpec":
         return cls(kind="poisson", support_bound=support_bound, poisson_mean=mean)
 
-    @property
-    def parameter(self) -> float | None:
-        """The swept parameter: exponent for zipf, mean for poisson."""
-        if self.kind == "zipf":
-            return self.exponent
-        if self.kind == "poisson":
-            return self.poisson_mean
-        return None
-
 
 @dataclass(frozen=True)
 class ViolationEstimate:
@@ -124,17 +114,6 @@ def distribution_pmf(spec: DistributionSpec) -> np.ndarray:
 def _inverse_cdf_draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     values = np.searchsorted(cdf, uniforms, side="right") + 1
     return np.minimum(values, len(cdf)).astype(np.int64)
-
-
-def sample_submatrix(spec: DistributionSpec, rng: np.random.Generator) -> SubMatrix:
-    """Draw one 4x4 matrix with i.i.d. entries via inverse-CDF sampling."""
-    cdf = np.cumsum(distribution_pmf(spec))
-    counts = _inverse_cdf_draw(cdf, rng.random((4, 4)))
-    return SubMatrix(
-        rows=("r1", "r2", "r3", "r4"),
-        cols=("c1", "c2", "c3", "c4"),
-        counts=counts,
-    )
 
 
 def estimate_violation_probability(

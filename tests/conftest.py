@@ -31,8 +31,8 @@ def pipeline_config():
 
 @pytest.fixture(scope="session")
 def bundled_topics(pipeline_config):
-    """Bundled corpus at window size 20 (windows are re-derived per test)."""
-    return load_topic_corpus(bundled_corpus_path(), pipeline_config, 20)
+    """Bundled corpus, loaded once per session."""
+    return load_topic_corpus(bundled_corpus_path(), pipeline_config)
 
 
 @pytest.fixture(scope="session")

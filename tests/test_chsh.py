@@ -1,7 +1,6 @@
 """CHSH statistics: expectations, partitions, scans, and their invariants."""
 
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -502,11 +501,11 @@ class TestEntanglementProportion:
         assert report.p == expected / 225
 
     def test_agrees_with_max_abs_chsh_on_sampled_subsets(self, bundled_by_id):
-        topic = replace(bundled_by_id["storm"], window_size=5)
+        topic = bundled_by_id["storm"]
         from entangletext import build_concept_pair, rank_by_frequency
 
         pair = build_concept_pair(rank_by_frequency(topic))
-        matrix = count_cooccurrences(pair, topic.windows(), 5)
+        matrix = count_cooccurrences(pair, topic.windows(5), 5)
         report = entanglement_proportion(matrix, top_details=20)
         for detail in report.details:
             rows = tuple(pair.c1.index(t) for t in detail.row_terms)
@@ -526,11 +525,11 @@ class TestEntanglementProportion:
             entanglement_proportion(_cooc_from_counts(np.zeros((3, 5), dtype=np.int64)))
 
     def test_details_sorted_by_strength(self, bundled_by_id):
-        topic = replace(bundled_by_id["storm"], window_size=5)
+        topic = bundled_by_id["storm"]
         from entangletext import build_concept_pair, rank_by_frequency
 
         pair = build_concept_pair(rank_by_frequency(topic))
-        matrix = count_cooccurrences(pair, topic.windows(), 5)
+        matrix = count_cooccurrences(pair, topic.windows(5), 5)
         report = entanglement_proportion(matrix, top_details=50)
         strengths = [abs(d.s) for d in report.details]
         assert strengths == sorted(strengths, reverse=True)

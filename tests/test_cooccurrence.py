@@ -1,7 +1,5 @@
 """Windowed indicator counting and histograms."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from entangletext import (
     Window,
     cooccurrence_histogram,
     count_cooccurrences,
-    histogram_to_csv,
 )
 
 from oracles import cooccurrence_reference, histogram_reference
@@ -68,7 +65,7 @@ class TestCountCooccurrences:
                 )
                 for width_str, cell in exp_m["cells"].items():
                     width = int(width_str)
-                    windows = replace(topic, window_size=width).windows()
+                    windows = topic.windows(width)
                     matrix = count_cooccurrences(pair, windows, width)
                     ref_counts, ref_windows = cooccurrence_reference(
                         doc_lists, width, pair.c1, pair.c2
@@ -80,30 +77,30 @@ class TestCountCooccurrences:
         self, bundled_by_id, planted_facts, planted_expected
     ):
         for topic_id, facts in planted_facts.items():
-            topic = replace(bundled_by_id[topic_id], window_size=5)
+            topic = bundled_by_id[topic_id]
             exp_m = planted_expected["topics"][topic_id]["methods"]["frequency"]
             pair = ConceptPair(
                 c1=tuple(exp_m["c1"]), c2=tuple(exp_m["c2"]),
                 method="frequency", topic_id=topic_id,
             )
-            matrix = count_cooccurrences(pair, topic.windows(), 5)
+            matrix = count_cooccurrences(pair, topic.windows(5), 5)
             ua, ub = facts["unique_pair"]
             fa, fb = facts["forbidden_pair"]
             assert matrix.counts[pair.c1.index(ua), pair.c2.index(ub)] == 1
             assert matrix.counts[pair.c1.index(fa), pair.c2.index(fb)] == 0
 
     def test_window_order_invariance(self, bundled_by_id):
-        topic = replace(bundled_by_id["storm"], window_size=5)
+        topic = bundled_by_id["storm"]
         pair = _bundled_pair(topic)
-        windows = topic.windows()
+        windows = topic.windows(5)
         a = count_cooccurrences(pair, windows, 5)
         b = count_cooccurrences(pair, list(reversed(windows)), 5)
         assert np.array_equal(a.counts, b.counts)
 
     def test_shard_merge_equals_whole(self, bundled_by_id):
-        topic = replace(bundled_by_id["harvest"], window_size=5)
+        topic = bundled_by_id["harvest"]
         pair = _bundled_pair(topic)
-        windows = topic.windows()
+        windows = topic.windows(5)
         whole = count_cooccurrences(pair, windows, 5)
         parts = [
             count_cooccurrences(pair, windows[i::3], 5) for i in range(3)
@@ -111,18 +108,17 @@ class TestCountCooccurrences:
         assert np.array_equal(np.sum([p.counts for p in parts], axis=0), whole.counts)
 
     def test_monotone_under_window_growth(self, bundled_by_id):
-        topic = replace(bundled_by_id["orchestra"], window_size=5)
+        topic = bundled_by_id["orchestra"]
         pair = _bundled_pair(topic)
-        windows = topic.windows()
+        windows = topic.windows(5)
         partial = count_cooccurrences(pair, windows[:30], 5)
         full = count_cooccurrences(pair, windows, 5)
         assert (full.counts >= partial.counts).all()
 
     def test_entries_bounded_by_window_count(self, bundled_by_id):
         for topic in bundled_by_id.values():
-            topic5 = replace(topic, window_size=5)
-            pair = _bundled_pair(topic5)
-            matrix = count_cooccurrences(pair, topic5.windows(), 5)
+            pair = _bundled_pair(topic)
+            matrix = count_cooccurrences(pair, topic.windows(5), 5)
             assert matrix.counts.max() <= matrix.n_windows
 
     @settings(max_examples=60, deadline=None)
@@ -173,63 +169,24 @@ class TestHistogram:
         matrix = CoocMatrix(
             concept_pair=_pair(), window_size=5, counts=counts, n_windows=60
         )
-        hist = cooccurrence_histogram(matrix, "unit")
+        hist = cooccurrence_histogram(matrix)
         assert hist.bins == {0: 90, 5: 9, 50: 1}
         assert sum(hist.bins.values()) == 100
 
-    def test_log2_binning_ranges(self):
-        counts = np.zeros((10, 10), dtype=np.int64)
-        counts.ravel()[:4] = [1, 2, 3, 8]
-        matrix = CoocMatrix(
-            concept_pair=_pair(), window_size=5, counts=counts, n_windows=10
-        )
-        hist = cooccurrence_histogram(matrix, "log2")
-        assert hist.bins == {(0, 1): 96, (1, 2): 1, (2, 4): 2, (8, 16): 1}
-
-    def test_unknown_binning(self):
-        with pytest.raises(ValueError, match="binning"):
-            cooccurrence_histogram(count_cooccurrences(_pair(), []), "log3")
-
     def test_matches_reference_on_bundled_corpus(self, bundled_by_id, planted_expected):
-        topic = replace(bundled_by_id["storm"], window_size=5)
+        topic = bundled_by_id["storm"]
         pair = _bundled_pair(topic)
-        matrix = count_cooccurrences(pair, topic.windows(), 5)
-        hist = cooccurrence_histogram(matrix, "unit")
+        matrix = count_cooccurrences(pair, topic.windows(5), 5)
+        hist = cooccurrence_histogram(matrix)
         assert hist.bins == histogram_reference(matrix.counts.tolist())
         frozen = planted_expected["topics"]["storm"]["methods"]["frequency"]["cells"]["5"]
         assert {str(k): v for k, v in hist.bins.items()} == frozen["histogram"]
 
     def test_bins_always_sum_to_matrix_size(self, bundled_by_id):
         for topic in bundled_by_id.values():
-            topic5 = replace(topic, window_size=5)
-            matrix = count_cooccurrences(_bundled_pair(topic5), topic5.windows(), 5)
-            for binning in ("unit", "log2"):
-                hist = cooccurrence_histogram(matrix, binning)
-                assert sum(hist.bins.values()) == matrix.counts.size
-
-
-class TestHistogramCsv:
-    def test_unit_bins(self, tmp_path):
-        counts = np.zeros((10, 10), dtype=np.int64)
-        counts[0, 0] = 2
-        matrix = CoocMatrix(
-            concept_pair=_pair(), window_size=5, counts=counts, n_windows=3
-        )
-        path = tmp_path / "hist.csv"
-        histogram_to_csv(cooccurrence_histogram(matrix, "unit"), path)
-        assert path.read_text().splitlines() == ["n,count", "0,99", "2,1"]
-
-    def test_log2_bins_render_ranges(self, tmp_path):
-        counts = np.zeros((10, 10), dtype=np.int64)
-        counts[0, :3] = [1, 2, 3]
-        matrix = CoocMatrix(
-            concept_pair=_pair(), window_size=5, counts=counts, n_windows=5
-        )
-        path = tmp_path / "hist.csv"
-        histogram_to_csv(cooccurrence_histogram(matrix, "log2"), path)
-        assert path.read_text().splitlines() == [
-            "n,count", "0-1,97", "1-2,1", "2-4,2",
-        ]
+            matrix = count_cooccurrences(_bundled_pair(topic), topic.windows(5), 5)
+            hist = cooccurrence_histogram(matrix)
+            assert sum(hist.bins.values()) == matrix.counts.size
 
 
 class TestCoocMatrixValidation:

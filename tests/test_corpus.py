@@ -135,7 +135,7 @@ class TestLoadTopicCorpus:
                 "t2": {"x": "wheat fields", "y": "barn doors", "z": "grain silos"},
             },
         )
-        topics = load_topic_corpus(manifest, pipeline_config, 5)
+        topics = load_topic_corpus(manifest, pipeline_config)
         assert [t.topic_id for t in topics] == ["t1", "t2"]
         assert all(len(t.documents) == 3 for t in topics)
 
@@ -155,7 +155,7 @@ class TestLoadTopicCorpus:
     )
     def test_terms_equal_per_document_normalization(self, options, tmp_path):
         config = PipelineConfig(stoplist=frozenset({"the", "and", "will"}), **options)
-        topics = load_topic_corpus(self._write_corpus(tmp_path, self._MIXED), config, 5)
+        topics = load_topic_corpus(self._write_corpus(tmp_path, self._MIXED), config)
         for topic in topics:
             for doc in topic.documents:
                 raw = RawDocument(doc.doc_id, topic.topic_id, self._MIXED[topic.topic_id][doc.doc_id])
@@ -178,15 +178,15 @@ class TestLoadTopicCorpus:
                 distinct.update(t.lower() for t in re.findall(r"[A-Za-z]+", text))
         distinct -= pipeline_config.stoplist
 
-        load_topic_corpus(manifest, pipeline_config, 5)
+        load_topic_corpus(manifest, pipeline_config)
         assert calls == Counter(dict.fromkeys(distinct, 1))
         # a second load stems everything again: no memo outlives a load
-        load_topic_corpus(manifest, pipeline_config, 5)
+        load_topic_corpus(manifest, pipeline_config)
         assert calls == Counter(dict.fromkeys(distinct, 2))
 
     def test_missing_manifest(self, tmp_path, pipeline_config):
         with pytest.raises(CorpusError, match="not found"):
-            load_topic_corpus(tmp_path / "nope.json", pipeline_config, 5)
+            load_topic_corpus(tmp_path / "nope.json", pipeline_config)
 
     def test_missing_document_named_in_error(self, tmp_path, pipeline_config):
         manifest = tmp_path / "manifest.json"
@@ -204,19 +204,19 @@ class TestLoadTopicCorpus:
             encoding="utf-8",
         )
         with pytest.raises(CorpusError, match="gone.txt"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
     def test_malformed_json(self, tmp_path, pipeline_config):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{not json", encoding="utf-8")
         with pytest.raises(CorpusError, match="JSON"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
     def test_no_topics(self, tmp_path, pipeline_config):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"topics": []}), encoding="utf-8")
         with pytest.raises(CorpusError, match="no topics"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
     def test_empty_topic_named_in_error(self, tmp_path, pipeline_config):
         manifest = tmp_path / "manifest.json"
@@ -225,7 +225,7 @@ class TestLoadTopicCorpus:
             encoding="utf-8",
         )
         with pytest.raises(CorpusError, match="hollow"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
     def test_duplicate_doc_id_rejected(self, tmp_path, pipeline_config):
         (tmp_path / "a.txt").write_text("words here", encoding="utf-8")
@@ -247,7 +247,7 @@ class TestLoadTopicCorpus:
             encoding="utf-8",
         )
         with pytest.raises(CorpusError, match="repeats doc_id"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
     def test_empty_document_rejected(self, tmp_path, pipeline_config):
         (tmp_path / "empty.txt").write_text("  \n", encoding="utf-8")
@@ -266,7 +266,7 @@ class TestLoadTopicCorpus:
             encoding="utf-8",
         )
         with pytest.raises(CorpusError, match="empty"):
-            load_topic_corpus(manifest, pipeline_config, 5)
+            load_topic_corpus(manifest, pipeline_config)
 
 
 class TestBundledCorpus:
@@ -283,7 +283,7 @@ class TestBundledCorpus:
 
     def test_vocabulary_size(self, bundled_topics, planted_facts):
         for topic in bundled_topics:
-            distinct = len(set(topic.iter_terms()))
+            distinct = len({t for doc in topic.documents for t in doc.terms})
             assert distinct >= 25
             assert distinct == planted_facts[topic.topic_id]["distinct_stems"]
 
@@ -298,11 +298,8 @@ class TestBundledCorpus:
                 assert again.terms == doc.terms
 
     def test_planted_window_content(self, bundled_by_id, planted_facts):
-        from dataclasses import replace
-
         for topic_id, facts in planted_facts.items():
-            topic = replace(bundled_by_id[topic_id], window_size=5)
-            windows = {(w.doc_id, w.index): w for w in topic.windows()}
+            windows = {(w.doc_id, w.index): w for w in bundled_by_id[topic_id].windows(5)}
             planted = windows[(facts["planted_doc_id"], facts["planted_window_index"])]
             assert list(planted.terms) == facts["planted_terms"]
 

@@ -78,7 +78,7 @@ def test_agreement_with_reference_on_generated_words():
 
 
 def test_agreement_with_reference_on_corpus_vocabulary(bundled_topics):
-    vocabulary = sorted({t for topic in bundled_topics for t in topic.iter_terms()})
+    vocabulary = sorted({t for topic in bundled_topics for doc in topic.documents for t in doc.terms})
     assert len(vocabulary) >= 75
     for term in vocabulary:
         assert stem(term) == porter_reference(term), term
@@ -87,5 +87,5 @@ def test_agreement_with_reference_on_corpus_vocabulary(bundled_topics):
 def test_idempotent_on_corpus_stems(bundled_topics):
     # every emitted stem is a fixed point for the bundled vocabulary
     for topic in bundled_topics:
-        for term in set(topic.iter_terms()):
+        for term in {t for doc in topic.documents for t in doc.terms}:
             assert stem(term) == term, term

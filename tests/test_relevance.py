@@ -14,20 +14,18 @@ from entangletext import (
     document_frequencies,
     rank_by_frequency,
     rank_by_tfidf,
-    term_statistics,
 )
 
 from oracles import frequency_ranking_reference, tfidf_ranking_reference
 
 
-def _topic(topic_id, docs, window_size=5):
+def _topic(topic_id, docs):
     return TopicCorpus(
         topic_id=topic_id,
         documents=tuple(
             TermSequence(doc_id=f"{topic_id}-{i}", terms=tuple(terms))
             for i, terms in enumerate(docs)
         ),
-        window_size=window_size,
     )
 
 
@@ -70,9 +68,12 @@ class TestFrequencyRanking:
             assert [(t, float(c)) for t, c in reference] == list(ranked.terms)
 
     def test_insufficient_vocabulary(self):
+        # ranking a tiny topic is fine; its concept pair needs 2k ranked terms
         topic = _topic("tiny", [["a", "b", "c"]])
-        with pytest.raises(CorpusError, match="insufficient vocabulary"):
-            rank_by_frequency(topic)
+        ranked = rank_by_frequency(topic)
+        assert len(ranked.terms) == 3
+        with pytest.raises(CorpusError, match="insufficient ranked terms"):
+            build_concept_pair(ranked)
 
     def test_rank_stability_under_duplication(self, bundled_by_id):
         for topic in bundled_by_id.values():
@@ -83,7 +84,6 @@ class TestFrequencyRanking:
                     TermSequence(doc_id=d.doc_id, terms=d.terms * 3)
                     for d in topic.documents
                 ),
-                window_size=topic.window_size,
             )
             ranked3 = rank_by_frequency(tripled)
             assert [t for t, _ in ranked.terms] == [t for t, _ in ranked3.terms]
@@ -108,7 +108,6 @@ class TestTfidfRanking:
             topic_id="main",
             documents=main.documents
             + (TermSequence(doc_id="rare-doc", terms=("rareword",) * 4),),
-            window_size=5,
         )
         others = [
             _topic(f"o{i}", [[f"filler{i}{j}" for j in range(30)]]) for i in range(7)
@@ -138,22 +137,16 @@ class TestTfidfRanking:
 class TestTermStatistics:
     def test_counts_and_document_frequencies(self):
         topic = _topic("t", [["a", "a", "b"], ["a", "c"]])
-        stats = {s.term: s for s in term_statistics(topic)}
-        assert stats["a"].tf == 3 and stats["a"].df == 2
-        assert stats["b"].tf == 1 and stats["b"].df == 1
+        tf = dict(rank_by_frequency(topic).terms)
+        df = document_frequencies([topic])
+        assert tf["a"] == 3.0 and df["a"] == 2
+        assert tf["b"] == 1.0 and df["b"] == 1
 
     def test_collection_wide_df(self, bundled_topics):
         topic = bundled_topics[0]
-        stats = {s.term: s for s in term_statistics(topic, bundled_topics)}
+        df = document_frequencies(bundled_topics)
         # shared vocabulary occurs in documents of other topics too
-        assert stats["report"].df > len(topic.documents)
-
-    def test_ordering_matches_frequency_ranking(self, bundled_topics):
-        topic = bundled_topics[0]
-        ranked = rank_by_frequency(topic)
-        stats = term_statistics(topic)
-        assert [s.term for s in stats] == [t for t, _ in ranked.terms]
-        assert all(s.df >= 1 for s in stats)
+        assert df["report"] > len(topic.documents)
 
 
 class TestConceptPair:

@@ -1,11 +1,17 @@
 """End-to-end runs, artifact formats, CLI behavior, and exit codes."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entangletext import RunConfig, bundled_corpus_path, report, run_analyze, run_simulate
 from entangletext.cli import main
@@ -100,8 +106,14 @@ class TestRunAnalyze:
     def test_no_timestamps_in_metadata(self, analyze_out):
         out, _, _ = analyze_out
         meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+        # the one artifact outside tests/data/bundled_artifacts.sha256
+        assert list(meta) == [
+            "tool", "version", "manifest", "window_sizes", "methods",
+            "concept_size", "top_violations", "stoplist", "stemming",
+        ]
         assert meta["tool"] == "entangletext"
         assert meta["stoplist"] == "bundled"
+        assert meta["top_violations"] == 3
         assert "time" not in json.dumps(meta).lower()
 
     def test_single_window_single_method(self, tmp_path):
@@ -246,6 +258,29 @@ class TestCli:
         self._assert_one_line_error(main(argv), capsys)
         assert blocker.is_file() and blocker.stat().st_size == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "1"], ["--k", "3"], ["--top-violations", "-1"], ["--window", "0"]],
+        ids=["k1", "k3", "top-violations-negative", "window0"],
+    )
+    def test_bad_analyze_value_rejected_before_work(self, flags, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the corpus was loaded before the configuration was checked")
+
+        monkeypatch.setattr(report, "load_topic_corpus", must_not_run)
+        argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "o"), *flags]
+        self._assert_one_line_error(main(argv), capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_top_violations_zero_keeps_no_details(self, tmp_path):
+        argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path),
+                "--window", "5", "--relevance", "frequency", "--top-violations", "0"]
+        assert main(argv) == 0
+        results = list((tmp_path / "results").glob("*.json"))
+        assert len(results) == 3
+        for path in results:
+            assert json.loads(path.read_text(encoding="utf-8"))["top_violations"] == []
+
     def test_simulate_out_is_directory_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--kind", "homogeneous", "--out", str(tmp_path)])
         self._assert_one_line_error(code, capsys)
@@ -316,3 +351,76 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lambda-grid", "oops", "--out", "x.csv"])
         assert exc.value.code == 1
+
+
+# Manifest fuzzing: any JSON shape, with fields missing, of the wrong type,
+# repeated or empty, naming tiny, empty, non-UTF-8 or absent documents.
+# Well-formed parts are drawn more often than broken ones, so examples get
+# past the first manifest check; the explicit examples run a full analysis.
+_FILES = ("a.txt", "b.txt", "c.txt")
+_WORDS = ("storm", "rain", "winds", "clouds", "tides", "coast", "wheat", "grain",
+          "barn", "silo", "violin", "cello", "the", "and")
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=6)
+)
+_junk = st.recursive(
+    _json_scalar,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _mostly(valid, broken=_junk):
+    """valid in most draws, else broken."""
+    return st.integers(0, 9).flatmap(lambda r: broken if r == 0 else valid)
+
+
+def _entry(fields):
+    """A dict with every field, else one with some of them missing, or junk."""
+    partial = st.one_of(st.fixed_dictionaries({}, optional=fields), _junk)
+    return _mostly(st.fixed_dictionaries(fields), partial)
+
+
+_doc_entry = _entry({
+    "doc_id": _mostly(st.sampled_from(["d1", "d2", "d3"])),
+    "path": _mostly(st.sampled_from(_FILES), st.one_of(st.sampled_from(["missing.txt", "."]), _junk)),
+})
+_topic_entry = _entry({
+    "topic_id": _mostly(st.sampled_from(["t1", "t2"])),
+    "documents": _mostly(st.lists(_doc_entry, min_size=1, max_size=4)),
+})
+_manifest = _entry({"topics": _mostly(st.lists(_topic_entry, min_size=1, max_size=3))})
+_text = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=40).map(" ".join)
+_document = _mostly(_text, st.one_of(st.none(), st.binary(max_size=6)))  # None: no file
+
+
+_VALID = {"topics": [
+    {"topic_id": "t1", "documents": [{"doc_id": "d1", "path": "a.txt"},
+                                     {"doc_id": "d2", "path": "b.txt"}]},
+    {"topic_id": "t2", "documents": [{"doc_id": "d1", "path": "c.txt"}]},
+]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(manifest=_manifest, documents=st.tuples(*[_document] * len(_FILES)))
+@example(manifest=_VALID, documents=(" ".join(_WORDS),) * 3)  # a full analysis, exit 0
+@example(manifest=_VALID, documents=(" ".join(_WORDS), "storm", "the rain"))  # too few terms
+def test_any_manifest_gives_a_documented_exit(manifest, documents):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, content in zip(_FILES, documents):
+            if isinstance(content, str):
+                (tmp / name).write_text(content, encoding="utf-8")
+            elif content is not None:
+                (tmp / name).write_bytes(content)
+        (tmp / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["analyze", str(tmp / "manifest.json"), "--out", str(tmp / "out"),
+                         "--window", "5", "--k", "4"])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert (code == 0) == (err == "")

@@ -12,7 +12,6 @@ from entangletext import (
     distribution_pmf,
     estimate_violation_probability,
     parameter_sweep,
-    sample_submatrix,
 )
 from entangletext.simulation import _inverse_cdf_draw
 
@@ -78,24 +77,25 @@ class TestPmf:
         assert (np.diff(pmf) < 0).all()
 
 
+def _draw(spec, rng, shape=(4, 4)):
+    """Entries drawn as estimate_violation_probability draws them."""
+    return _inverse_cdf_draw(np.cumsum(distribution_pmf(spec)), rng.random(shape))
+
+
 class TestSampling:
     def test_support_bound_one_is_degenerate(self):
-        rng = np.random.default_rng(1)
-        matrix = sample_submatrix(DistributionSpec.zipf(0.7, 1), rng)
-        assert (matrix.counts == 1).all()
+        counts = _draw(DistributionSpec.zipf(0.7, 1), np.random.default_rng(1))
+        assert (counts == 1).all()
 
     def test_seed_determinism(self):
         spec = DistributionSpec.zipf(0.8, 40)
-        a = sample_submatrix(spec, np.random.default_rng(7)).counts
-        b = sample_submatrix(spec, np.random.default_rng(7)).counts
+        a = _draw(spec, np.random.default_rng(7))
+        b = _draw(spec, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_values_within_support(self):
-        rng = np.random.default_rng(3)
-        spec = DistributionSpec.poisson(5.0, 12)
-        for _ in range(50):
-            counts = sample_submatrix(spec, rng).counts
-            assert counts.min() >= 1 and counts.max() <= 12
+        counts = _draw(DistributionSpec.poisson(5.0, 12), np.random.default_rng(3), (50, 4, 4))
+        assert counts.min() >= 1 and counts.max() <= 12
 
     def test_inverse_cdf_boundary_clipped(self):
         cdf = np.array([0.5, 1.0 - 1e-16])
