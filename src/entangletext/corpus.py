@@ -184,8 +184,10 @@ def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list
 
     The manifest is JSON of the form
     ``{"topics": [{"topic_id": ..., "documents": [{"doc_id": ..., "path": ...}]}]}``;
-    document paths are resolved relative to the manifest's directory. All
-    structural problems, and files that are not UTF-8, raise CorpusError
+    document paths are resolved relative to the manifest's directory. Each
+    topic_id must be one plain file-name component (no ``/``, ``\\`` or
+    NUL, not ``.`` or ``..``), because artifact file names start with it.
+    All structural problems, and files that are not UTF-8, raise CorpusError
     naming the offending entry.
     """
     manifest_path = Path(manifest_path)
@@ -208,6 +210,8 @@ def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list
         topic_id = entry.get("topic_id") if isinstance(entry, dict) else None
         if not topic_id or not isinstance(topic_id, str):
             raise _manifest_error(manifest_path, f"topic entry without topic_id: {entry!r}")
+        if topic_id in (".", "..") or any(c in topic_id for c in "/\\\0"):
+            raise _manifest_error(manifest_path, f"topic_id {topic_id!r} is not a plain file name")
         if topic_id in seen_topics:
             raise _manifest_error(manifest_path, f"duplicate topic_id {topic_id!r}")
         seen_topics.add(topic_id)

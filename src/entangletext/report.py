@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +39,7 @@ from .relevance import (
     rank_by_tfidf,
     ranking_to_csv,
 )
-from .simulation import CurveSet, curves_to_csv, parameter_sweep
+from .simulation import CurveSet, curves_to_csv, max_workers, parameter_sweep
 
 __all__ = ["RunConfig", "TopicReport", "run_analyze", "run_simulate", "max_workers"]
 
@@ -101,18 +100,6 @@ class TopicReport:
         ordered = sorted(window_sizes)
         ps = [self.proportion(w, method).p for w in ordered]
         return all(a > b for a, b in zip(ps, ps[1:]))
-
-
-def max_workers(n_jobs: int) -> int:
-    """Thread-pool size: min(jobs, cpu count), capped by ENTANGLE_THREADS."""
-    limit = os.cpu_count() or 1
-    env = os.environ.get("ENTANGLE_THREADS")
-    if env:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"ENTANGLE_THREADS must be an integer, got {env!r}")
-    return max(1, min(n_jobs, limit))
 
 
 def _pipeline_config(config: RunConfig) -> PipelineConfig:

@@ -24,6 +24,7 @@ from entangletext import (
     canonical_partitions,
     chsh_max_abs_batch,
     chsh_statistic,
+    curves_to_csv,
     estimate_violation_probability,
     expected_value,
     max_abs_chsh,
@@ -57,13 +58,19 @@ def _ok(name):
 
 
 @pytest.fixture(scope="module")
-def figure_sweep():
+def figure_curves():
     exponents = [round(0.1 * i, 10) for i in range(1, 21)]
-    bounds = [10, 50, 100, 500]
     t0 = time.monotonic()
-    curves = parameter_sweep("zipf", exponents, bounds, n_samples=10_000, seed=SWEEP_SEED)
-    elapsed = time.monotonic() - t0
-    by_bound = {b: {} for b in bounds}
+    curves = parameter_sweep(
+        "zipf", exponents, [10, 50, 100, 500], n_samples=10_000, seed=SWEEP_SEED
+    )
+    return curves, time.monotonic() - t0
+
+
+@pytest.fixture(scope="module")
+def figure_sweep(figure_curves):
+    curves, elapsed = figure_curves
+    by_bound = {b: {} for _, b in curves.grid}
     for (exponent, bound), est in zip(curves.grid, curves.estimates):
         by_bound[bound][exponent] = est.p_hat
     return by_bound, elapsed
@@ -208,6 +215,17 @@ def test_figure_sweep_peak_location(figure_sweep):
         f"violation-probability peaks per bound: {peaks} (expected within [0.2, 0.5])"
     )
     _ok("figure sweep peak location in [0.2, 0.5]")
+
+
+def test_figure_sweep_csv_matches_committed_digest(figure_curves, tmp_path):
+    """The default 80-point zipf CSV equals the sha256 committed in
+    tests/data/figure_sweep.sha256, whatever the thread count and chunk size."""
+    curves, _ = figure_curves
+    digest, name = (DATA / "figure_sweep.sha256").read_text(encoding="utf-8").split()
+    path = tmp_path / name
+    curves_to_csv(curves, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    _ok("figure sweep CSV matches the committed digest")
 
 
 def test_figure_sweep_english_range_level(figure_sweep):

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entangletext import RunConfig, bundled_corpus_path, report, run_analyze, run_simulate
+from entangletext import (
+    RunConfig,
+    bundled_corpus_path,
+    report,
+    run_analyze,
+    run_simulate,
+    simulation,
+)
 from entangletext.cli import main
 from entangletext.report import max_workers
 
@@ -153,6 +160,19 @@ class TestRunSimulate:
         assert meta["seed"] == 42 and meta["n_samples"] == 300
         assert len(meta["grid"]) == 4
 
+    def test_thread_count_and_chunk_size_do_not_change_the_files(self, tmp_path, monkeypatch):
+        def files(name, threads):
+            monkeypatch.setenv("ENTANGLE_THREADS", threads)
+            out = tmp_path / name / "curves.csv"
+            curves = run_simulate("zipf", [0.5, 1.0, 1.5], [10, 100], 3000, 8, out)
+            meta = out.with_suffix(".csv.meta.json")
+            return curves, out.read_bytes(), meta.read_bytes()
+
+        serial = files("serial", "1")
+        assert files("pool", "2") == serial
+        monkeypatch.setattr(simulation, "_SAMPLE_CHUNK", 700)
+        assert files("chunked", "2") == serial
+
 
 class TestMaxWorkers:
     def test_env_cap(self, monkeypatch):
@@ -271,6 +291,72 @@ class TestCli:
         argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "o"), *flags]
         self._assert_one_line_error(main(argv), capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--B", "10,50,0"], ["--kind", "poisson", "--mu-grid", "0:2:1", "--B", "10"]],
+        ids=["bound-late", "mu-nonpositive"],
+    )
+    def test_bad_sweep_point_rejected_before_sampling(self, flags, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a point was sampled before the grid was checked")
+
+        monkeypatch.setattr(simulation, "estimate_violation_probability", must_not_run)
+        out = tmp_path / "c.csv"
+        argv = ["simulate", *flags, "--samples", "10000", "--out", str(out)]
+        self._assert_one_line_error(main(argv), capsys)
+        assert not out.exists()
+
+    def test_non_integer_thread_cap_exit_1(self, tmp_path, subprocess_env):
+        out = tmp_path / "c.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entangletext", "simulate", "--kind", "homogeneous",
+             "--B", "5", "--samples", "20", "--out", str(out)],
+            env={**subprocess_env, "ENTANGLE_THREADS": "many"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @staticmethod
+    def _two_topic_manifest(tmp_path, topic_id):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "d.txt").write_text(" ".join(_WORDS), encoding="utf-8")
+        manifest = docs / "manifest.json"
+        manifest.write_text(json.dumps({"topics": [
+            {"topic_id": "ok", "documents": [{"doc_id": "d", "path": "d.txt"}]},
+            {"topic_id": topic_id, "documents": [{"doc_id": "d", "path": "d.txt"}]},
+        ]}), encoding="utf-8")
+        return manifest
+
+    @staticmethod
+    def _analyze_small(manifest, out):
+        return main(["analyze", str(manifest), "--out", str(out),
+                     "--window", "5", "--k", "4", "--relevance", "frequency"])
+
+    @pytest.mark.parametrize(
+        "topic_id",
+        ["../../../escaped", "sub/escaped", "..\\escaped", "nul\0escaped", ".", ".."],
+        ids=["dotdot", "slash", "backslash", "nul", "dot", "dotdot-alone"],
+    )
+    def test_topic_id_outside_out_rejected(self, topic_id, tmp_path, capsys):
+        manifest = self._two_topic_manifest(tmp_path, topic_id)
+        out = tmp_path / "a" / "b" / "c" / "out"  # ../../../ from out/rankings stays in tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        code = self._analyze_small(manifest, out)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("corpus error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written, in out or outside it
+
+    def test_topic_id_with_dots_accepted(self, tmp_path):
+        manifest = self._two_topic_manifest(tmp_path, "a..b")
+        assert self._analyze_small(manifest, tmp_path / "out") == 0
+        assert (tmp_path / "out" / "rankings" / "a..b__frequency.csv").is_file()
 
     def test_top_violations_zero_keeps_no_details(self, tmp_path):
         argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path),
