@@ -25,7 +25,7 @@ def main():
     print(f"{'':14}c2={list(pair.c2)}")
 
     for width in (20, 10, 5):
-        matrix = count_cooccurrences(pair, topic.windows(width), width)
+        matrix = count_cooccurrences(pair, topic.windows(width))
         hist = cooccurrence_histogram(matrix)
         print(f"\nwindow size {width}: {matrix.n_windows} windows")
         header = " ".join(f"{t[:6]:>6}" for t in pair.c2)

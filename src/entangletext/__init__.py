@@ -37,12 +37,12 @@ from .corpus import (
     RawDocument,
     TermSequence,
     TopicCorpus,
-    Window,
+    TopicWindows,
+    Vocabulary,
     bundled_corpus_path,
     default_stoplist,
     load_stoplist,
     load_topic_corpus,
-    segment_windows,
     tokenize_and_normalize,
 )
 from .porter import stem
@@ -74,13 +74,13 @@ __all__ = [
     "CorpusError",
     "PipelineConfig",
     "RawDocument",
+    "Vocabulary",
     "TermSequence",
-    "Window",
+    "TopicWindows",
     "TopicCorpus",
     "default_stoplist",
     "load_stoplist",
     "tokenize_and_normalize",
-    "segment_windows",
     "load_topic_corpus",
     "bundled_corpus_path",
     # relevance

@@ -2,8 +2,9 @@
 
 A window contributes at most 1 to each (c1 term, c2 term) cell: the count
 is the number of windows in which both terms appear at least once,
-regardless of multiplicity. Counts over a partition of the window list
-therefore merge by plain integer addition.
+regardless of multiplicity. Counts over a partition of the windows (for
+example, over disjoint sets of documents) therefore merge by plain
+integer addition.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import Window
+from .corpus import TopicWindows
 from .relevance import ConceptPair
 
 __all__ = [
@@ -64,39 +64,34 @@ class Histogram:
         object.__setattr__(self, "bins", dict(self.bins))
 
 
-def count_cooccurrences(
-    pair: ConceptPair,
-    windows: Sequence[Window],
-    window_size: int | None = None,
-) -> CoocMatrix:
+def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
     """Count, per term pair, the windows where both terms occur.
 
-    All windows must come from the same topic and window size; an empty
-    window list yields the zero matrix. ``window_size`` is recorded on the
-    result; when omitted it falls back to the longest window seen (the
-    trailing window of a document may be shorter than the configured size).
+    One lookup array sends each term id to its concept slot (c1 terms
+    first, then c2 terms, -1 elsewhere); marking (window, slot) presence
+    ignores multiplicity. Zero windows yield the zero matrix, and concept
+    terms absent from the vocabulary count zero.
     """
-    n1, n2 = len(pair.c1), len(pair.c2)
-    row_of = {term: i for i, term in enumerate(pair.c1)}
-    col_of = {term: j for j, term in enumerate(pair.c2)}
+    n1 = len(pair.c1)
+    index = windows.vocabulary.index
+    slot_of = np.full(len(windows.vocabulary), -1, dtype=np.intp)
+    for slot, term in enumerate(pair.c1 + pair.c2):
+        term_id = index.get(term)
+        if term_id is not None:
+            slot_of[term_id] = slot
+    slots = slot_of[windows.ids]
+    hit = slots >= 0
+    present = np.zeros((windows.n_windows, n1 + len(pair.c2)))
+    present[windows.window_of[hit], slots[hit]] = 1.0
 
-    if window_size is None:
-        window_size = max((len(w.terms) for w in windows), default=0)
-    n_windows = len(windows)
-    present_rows = np.zeros((n_windows, n1), dtype=np.int64)
-    present_cols = np.zeros((n_windows, n2), dtype=np.int64)
-    for w_idx, window in enumerate(windows):
-        for term in set(window.terms):
-            i = row_of.get(term)
-            if i is not None:
-                present_rows[w_idx, i] = 1
-            j = col_of.get(term)
-            if j is not None:
-                present_cols[w_idx, j] = 1
-
-    counts = present_rows.T @ present_cols
+    # 0/1 float products summed by BLAS: every partial sum is an integer
+    # below 2**53, so the counts are exact
+    counts = (present[:, :n1].T @ present[:, n1:]).astype(np.int64)
     return CoocMatrix(
-        concept_pair=pair, window_size=window_size, counts=counts, n_windows=n_windows
+        concept_pair=pair,
+        window_size=windows.window_size,
+        counts=counts,
+        n_windows=windows.n_windows,
     )
 
 

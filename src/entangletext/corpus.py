@@ -1,9 +1,10 @@
 """Topic-corpus ingestion: tokenization, normalization, window segmentation.
 
 Raw documents are reduced to ordered term sequences (maximal alphabetic
-runs, lowercased, stop-word filtered, Porter-stemmed) and then tiled into
-fixed-size windows. Windows never cross document boundaries; the trailing
-partial window is kept so no terms are dropped.
+runs, lowercased, stop-word filtered, Porter-stemmed), kept as int32 ids
+into one vocabulary per load, and then tiled into fixed-size windows.
+Windows never cross document boundaries; the trailing partial window is
+kept so no terms are dropped.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .porter import stem
 
@@ -20,13 +24,13 @@ __all__ = [
     "CorpusError",
     "PipelineConfig",
     "RawDocument",
+    "Vocabulary",
     "TermSequence",
-    "Window",
+    "TopicWindows",
     "TopicCorpus",
     "default_stoplist",
     "load_stoplist",
     "tokenize_and_normalize",
-    "segment_windows",
     "load_topic_corpus",
     "bundled_corpus_path",
 ]
@@ -91,88 +95,194 @@ class RawDocument:
     text: str
 
 
-@dataclass(frozen=True)
-class TermSequence:
-    """Ordered normalized terms of one document."""
+class Vocabulary:
+    """The distinct terms of one load; a term's id is its position in ``terms``.
 
-    doc_id: str
-    terms: tuple[str, ...]
+    Ids are only ever appended, so an id array stays valid as the
+    vocabulary grows.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self):
+        self.terms: list[str] = []
+        self.index: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.terms)
 
+    def add(self, term: str) -> int:
+        """The id of term, appending it when new."""
+        term_id = self.index.get(term)
+        if term_id is None:
+            term_id = self.index[term] = len(self.terms)
+            self.terms.append(term)
+        return term_id
 
-@dataclass(frozen=True)
-class Window:
-    """One tile of consecutive terms within a single document."""
+    def encode(self, terms: Iterable[str]) -> np.ndarray:
+        """Term ids (int32) of a term sequence, appending new terms."""
+        return np.array([self.add(t) for t in terms], dtype=np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class TermSequence:
+    """Ordered normalized terms of one document, as ids into a vocabulary."""
 
     doc_id: str
-    index: int
-    terms: tuple[str, ...]
+    ids: np.ndarray  # int32 term ids, read-only
+    vocabulary: Vocabulary
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        ids = np.array(self.ids, dtype=np.int32).reshape(-1)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.vocabulary)):
+            raise ValueError(f"document {self.doc_id!r} has term ids outside its vocabulary")
+        ids.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        """The terms as strings, in document order."""
+        return tuple(map(self.vocabulary.terms.__getitem__, self.ids.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, TermSequence):
+            return NotImplemented
+        return self.doc_id == other.doc_id and self.terms == other.terms
+
+
+@dataclass(frozen=True)
+class TopicWindows:
+    """Fixed-width windows over one topic, as two parallel index arrays.
+
+    ``ids`` concatenates the term ids of the topic's documents in order and
+    ``window_of[p]`` is the window that position p falls in. Windows are
+    numbered consecutively across the topic, never cross a document
+    boundary, and a document's trailing partial window is kept.
+    """
+
+    window_size: int
+    ids: np.ndarray  # int32 term ids
+    window_of: np.ndarray  # intp window index of each position
+    n_windows: int
+    vocabulary: Vocabulary
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids, dtype=np.int32)
+        window_of = np.asarray(self.window_of, dtype=np.intp)
+        if ids.shape != window_of.shape or ids.ndim != 1:
+            raise ValueError("ids and window_of must be 1-d arrays of one length")
+        if ids.size and (window_of.min() < 0 or window_of.max() >= self.n_windows):
+            raise ValueError(f"window indices must lie in [0, {self.n_windows})")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.vocabulary)):
+            raise ValueError("term ids must lie inside the vocabulary")
+        ids.setflags(write=False)
+        window_of.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "window_of", window_of)
+
+    def __len__(self) -> int:
+        return self.n_windows
 
 
 @dataclass(frozen=True)
 class TopicCorpus:
-    """All normalized documents of one topic."""
+    """All normalized documents of one topic, over one shared vocabulary."""
 
     topic_id: str
     documents: tuple[TermSequence, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "documents", tuple(self.documents))
+        documents = tuple(self.documents)
+        if not documents:
+            raise ValueError(f"topic {self.topic_id!r} has no documents")
+        if any(d.vocabulary is not documents[0].vocabulary for d in documents):
+            raise ValueError(f"documents of topic {self.topic_id!r} must share one vocabulary")
+        object.__setattr__(self, "documents", documents)
 
-    def windows(self, window_size: int) -> list[Window]:
-        """Windows of width window_size over every document, in document order."""
-        out: list[Window] = []
-        for doc in self.documents:
-            out.extend(segment_windows(doc, window_size))
-        return out
+    @property
+    def vocabulary(self) -> Vocabulary:
+        return self.documents[0].vocabulary
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Term ids of every document, concatenated in document order."""
+        return np.concatenate([d.ids for d in self.documents])
+
+    def windows(self, window_size: int) -> TopicWindows:
+        """Windows of width window_size over every document, in document order.
+
+        A document of n terms gives ceil(n / window_size) windows; position
+        i of a document lies in its window i // window_size.
+        """
+        if window_size < 1:
+            raise ValueError(f"window size must be >= 1, got {window_size}")
+        lengths = np.array([len(d) for d in self.documents], dtype=np.intp)
+        per_doc = -(-lengths // window_size)
+        doc_start = np.cumsum(lengths) - lengths
+        first_window = np.cumsum(per_doc) - per_doc
+        offset = np.arange(lengths.sum(), dtype=np.intp) - np.repeat(doc_start, lengths)
+        return TopicWindows(
+            window_size=window_size,
+            ids=self.ids,
+            window_of=np.repeat(first_window, lengths) + offset // window_size,
+            n_windows=int(per_doc.sum()),
+            vocabulary=self.vocabulary,
+        )
+
+
+_STOP = -1  # term id of a token the stoplist removes
+
+
+class _TermIds(dict):
+    """Raw token -> term id (or _STOP) for the documents of one load.
+
+    A miss normalizes the token: lowercase, stop-filter, then stem. The stem
+    of each distinct lowercased token is computed once, so tokens differing
+    only in case share one call to ``stem``.
+    """
+
+    def __init__(self, config: PipelineConfig, vocabulary: Vocabulary):
+        super().__init__()
+        self.config = config
+        self.vocabulary = vocabulary
+        self.stems: dict[str, str] = {}
+
+    def __missing__(self, token: str) -> int:
+        config = self.config
+        lowered = token.lower()
+        if lowered in config.stoplist:
+            term_id = _STOP
+        else:
+            if config.stemming_enabled:
+                term = self.stems.get(lowered)
+                if term is None:
+                    term = self.stems[lowered] = stem(lowered)
+            else:
+                term = lowered if config.lowercase else token
+            term_id = self.vocabulary.add(term)
+        self[token] = term_id
+        return term_id
 
 
 def tokenize_and_normalize(raw: RawDocument, config: PipelineConfig) -> TermSequence:
     """Extract, lowercase, stop-filter and stem the tokens of one document.
 
-    Token order is preserved; empty text yields an empty sequence.
+    Token order is preserved; empty text yields an empty sequence. The
+    result has a vocabulary of its own.
     """
-    return _normalize(raw, config, {})
+    return _normalize(raw, _TermIds(config, Vocabulary()))
 
 
-def _normalize(raw: RawDocument, config: PipelineConfig, stems: dict[str, str]) -> TermSequence:
-    """tokenize_and_normalize with a caller-owned memo of lowercased token -> stem.
+def _normalize(raw: RawDocument, term_ids: _TermIds) -> TermSequence:
+    """tokenize_and_normalize with a caller-owned token memo and vocabulary.
 
-    Stemming is a pure function of the lowercased token, so a memo shared by
-    the documents of one load stems each distinct token once.
+    Normalization is a pure function of the token, so a memo shared by the
+    documents of one load normalizes each distinct token once.
     """
-    stoplist = config.stoplist
-    out: list[str] = []
-    for token in re.findall(config.token_pattern, raw.text):
-        lowered = token.lower()
-        if lowered in stoplist:
-            continue
-        if config.stemming_enabled:
-            term = stems.get(lowered)
-            if term is None:
-                term = stems[lowered] = stem(lowered)
-            out.append(term)
-        else:
-            out.append(lowered if config.lowercase else token)
-    return TermSequence(doc_id=raw.doc_id, terms=tuple(out))
-
-
-def segment_windows(seq: TermSequence, window_size: int) -> list[Window]:
-    """Tile a term sequence into ceil(len/W) windows of at most W terms."""
-    if window_size < 1:
-        raise ValueError(f"window size must be >= 1, got {window_size}")
-    return [
-        Window(doc_id=seq.doc_id, index=i, terms=seq.terms[start : start + window_size])
-        for i, start in enumerate(range(0, len(seq.terms), window_size))
-    ]
+    tokens = re.findall(term_ids.config.token_pattern, raw.text)
+    ids = np.fromiter(map(term_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    return TermSequence(doc_id=raw.doc_id, ids=ids[ids != _STOP], vocabulary=term_ids.vocabulary)
 
 
 def _manifest_error(path, detail):
@@ -203,7 +313,7 @@ def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list
         raise _manifest_error(manifest_path, "no topics")
 
     base = manifest_path.parent
-    stems: dict[str, str] = {}  # lives for this load only
+    term_ids = _TermIds(config, Vocabulary())  # lives for this load only
     corpora: list[TopicCorpus] = []
     seen_topics: set[str] = set()
     for entry in topics:
@@ -253,7 +363,7 @@ def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list
                     manifest_path, f"document {doc_id!r} of topic {topic_id!r} is empty: {doc_path}"
                 )
             raw = RawDocument(doc_id=doc_id, topic_id=topic_id, text=text)
-            documents.append(_normalize(raw, config, stems))
+            documents.append(_normalize(raw, term_ids))
         corpora.append(TopicCorpus(topic_id=topic_id, documents=tuple(documents)))
     return corpora
 

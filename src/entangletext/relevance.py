@@ -3,21 +3,22 @@
 Two ranking methods: raw within-topic frequency, and tf-idf with a
 smoothed idf, score = tf * (ln((N + 1) / (df + 1)) + 1), where N counts
 every document in the collection and df counts the documents containing
-the term collection-wide. Ties always break lexicographically so every
-ranking is a total order. The top-k terms form one concept, the next k
-the other.
+the term collection-wide. Both counts are bincounts over term ids. Ties
+always break lexicographically so every ranking is a total order. The
+top-k terms form one concept, the next k the other.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
-from .corpus import CorpusError, TopicCorpus
+import numpy as np
+
+from .corpus import CorpusError, TopicCorpus, Vocabulary
 
 __all__ = [
     "CONCEPT_SIZE",
@@ -67,29 +68,42 @@ class ConceptPair:
             raise ValueError("concept terms must be distinct and disjoint")
 
 
-def _topic_counts(topic: TopicCorpus) -> Counter:
-    counts: Counter = Counter()
-    for doc in topic.documents:
-        counts.update(doc.terms)
-    return counts
+def _shared_vocabulary(topics: Sequence[TopicCorpus]) -> Vocabulary:
+    vocabulary = topics[0].vocabulary
+    if any(t.vocabulary is not vocabulary for t in topics):
+        raise ValueError("topics must share one vocabulary (load them together)")
+    return vocabulary
 
 
-def document_frequencies(collection: Iterable[TopicCorpus]) -> Counter:
-    """Number of documents, collection-wide, containing each term.
+def document_frequencies(collection: Iterable[TopicCorpus]) -> np.ndarray:
+    """Number of documents, collection-wide, containing each term, by term id.
 
     Computed once per run and shared read-only by every tf-idf ranking.
     """
-    df: Counter = Counter()
+    collection = list(collection)
+    if not collection:
+        raise ValueError("collection must not be empty")
+    vocabulary = _shared_vocabulary(collection)
+    distinct = []
     for topic in collection:
         for doc in topic.documents:
-            df.update(set(doc.terms))
-    return df
+            ids = np.sort(doc.ids)
+            distinct.append(ids[np.diff(ids, prepend=-1) != 0])
+    return np.bincount(np.concatenate(distinct), minlength=len(vocabulary))
+
+
+def _term_counts(topic: TopicCorpus) -> tuple[np.ndarray, list[str], list[int]]:
+    """Ids of the topic's distinct terms, the terms, and their counts (Python ints)."""
+    tf = np.bincount(topic.ids, minlength=len(topic.vocabulary))
+    present = np.flatnonzero(tf)
+    terms = topic.vocabulary.terms
+    return present, [terms[i] for i in present.tolist()], tf[present].tolist()
 
 
 def rank_by_frequency(topic: TopicCorpus) -> RankedTerms:
     """Rank a topic's terms by occurrence count, ties lexicographic."""
-    counts = _topic_counts(topic)
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    _, terms, tfs = _term_counts(topic)
+    ordered = sorted(zip(terms, tfs), key=lambda kv: (-kv[1], kv[0]))
     return RankedTerms(
         topic_id=topic.topic_id,
         method="frequency",
@@ -100,25 +114,28 @@ def rank_by_frequency(topic: TopicCorpus) -> RankedTerms:
 def rank_by_tfidf(
     topic: TopicCorpus,
     collection: Iterable[TopicCorpus],
-    df: Mapping[str, int] | None = None,
+    df: np.ndarray | None = None,
 ) -> RankedTerms:
     """Rank a topic's terms by tf * (ln((N+1)/(df+1)) + 1).
 
     ``df`` may be passed precomputed (see document_frequencies); otherwise
     it is derived from ``collection``. N is the total document count of the
-    collection.
+    collection. The topic and the collection must share one vocabulary.
     """
     collection = list(collection)
     if not collection:
         raise ValueError("collection must not be empty")
+    vocabulary = _shared_vocabulary([topic, *collection])
     if df is None:
         df = document_frequencies(collection)
+    elif len(df) != len(vocabulary):
+        raise ValueError("df does not match the vocabulary of the collection")
     n_docs = sum(len(t.documents) for t in collection)
 
-    counts = _topic_counts(topic)
+    present, terms, tfs = _term_counts(topic)
     scored = [
-        (term, tf * (math.log((n_docs + 1) / (df[term] + 1)) + 1.0))
-        for term, tf in counts.items()
+        (term, tf * (math.log((n_docs + 1) / (n + 1)) + 1.0))
+        for term, tf, n in zip(terms, tfs, df[present].tolist())
     ]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return RankedTerms(topic_id=topic.topic_id, method="tfidf", terms=tuple(scored))

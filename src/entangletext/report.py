@@ -128,6 +128,7 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
     smallest window size for the first configured method, ties by topic_id).
     """
     _check_can_be_dir(config.out_dir)
+    max_workers(1)  # a malformed ENTANGLE_THREADS fails here, before the corpus is read
     pipeline = _pipeline_config(config)
     topics = load_topic_corpus(config.manifest, pipeline)
     df = document_frequencies(topics)
@@ -155,7 +156,7 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
     def run_cell(job):
         topic_id, window_size, method = job
         pair = pairs[(topic_id, method)][1]
-        matrix = count_cooccurrences(pair, windows[(topic_id, window_size)], window_size)
+        matrix = count_cooccurrences(pair, windows[(topic_id, window_size)])
         report = entanglement_proportion(matrix, top_details=config.top_violations)
         return job, (report, cooccurrence_histogram(matrix), matrix)
 

@@ -505,7 +505,7 @@ class TestEntanglementProportion:
         from entangletext import build_concept_pair, rank_by_frequency
 
         pair = build_concept_pair(rank_by_frequency(topic))
-        matrix = count_cooccurrences(pair, topic.windows(5), 5)
+        matrix = count_cooccurrences(pair, topic.windows(5))
         report = entanglement_proportion(matrix, top_details=20)
         for detail in report.details:
             rows = tuple(pair.c1.index(t) for t in detail.row_terms)
@@ -529,7 +529,7 @@ class TestEntanglementProportion:
         from entangletext import build_concept_pair, rank_by_frequency
 
         pair = build_concept_pair(rank_by_frequency(topic))
-        matrix = count_cooccurrences(pair, topic.windows(5), 5)
+        matrix = count_cooccurrences(pair, topic.windows(5))
         report = entanglement_proportion(matrix, top_details=50)
         strengths = [abs(d.s) for d in report.details]
         assert strengths == sorted(strengths, reverse=True)

@@ -1,5 +1,9 @@
 """Windowed indicator counting and histograms."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +12,23 @@ from hypothesis import strategies as st
 from entangletext import (
     ConceptPair,
     CoocMatrix,
-    Window,
+    PipelineConfig,
+    TermSequence,
+    TopicCorpus,
+    TopicWindows,
+    Vocabulary,
     cooccurrence_histogram,
     count_cooccurrences,
+    load_topic_corpus,
 )
 
-from oracles import cooccurrence_reference, histogram_reference
+from oracles import (
+    cooccurrence_reference,
+    histogram_reference,
+    normalize_reference,
+    tile_reference,
+    tiles_from_indices,
+)
 
 
 def _pair(n=10):
@@ -25,32 +40,40 @@ def _pair(n=10):
     )
 
 
-def _window(terms, index=0, doc="d"):
-    return Window(doc_id=doc, index=index, terms=tuple(terms))
+def _windows(*window_terms):
+    """Windows holding exactly the given term lists: each non-empty list is
+    one document no longer than the window size, so it is one window."""
+    vocabulary = Vocabulary()
+    docs = tuple(
+        TermSequence(f"d{i}", vocabulary.encode(terms), vocabulary)
+        for i, terms in enumerate(window_terms)
+    ) or (TermSequence("empty", [], vocabulary),)
+    width = max((len(terms) for terms in window_terms), default=1)
+    return TopicCorpus(topic_id="t", documents=docs).windows(width)
 
 
 class TestCountCooccurrences:
     def test_multiplicity_ignored(self):
         pair = _pair()
-        matrix = count_cooccurrences(pair, [_window(["a0", "b0", "a0"])])
+        matrix = count_cooccurrences(pair, _windows(["a0", "b0", "a0"]))
         assert matrix.counts[0, 0] == 1
         assert matrix.counts.sum() == 1
 
     def test_no_c1_terms_gives_zero_matrix(self):
         pair = _pair()
-        matrix = count_cooccurrences(pair, [_window(["b0", "b1", "x"])])
+        matrix = count_cooccurrences(pair, _windows(["b0", "b1", "x"]))
         assert matrix.counts.sum() == 0
         assert matrix.n_windows == 1
 
     def test_empty_window_list(self):
-        matrix = count_cooccurrences(_pair(), [])
+        matrix = count_cooccurrences(_pair(), _windows())
         assert matrix.counts.shape == (10, 10)
         assert matrix.counts.sum() == 0
         assert matrix.n_windows == 0
 
     def test_each_window_contributes_at_most_one_per_cell(self):
         pair = _pair()
-        windows = [_window(["a0", "b0"] * 5, index=i) for i in range(7)]
+        windows = _windows(*[["a0", "b0"] * 5] * 7)
         matrix = count_cooccurrences(pair, windows)
         assert matrix.counts[0, 0] == 7
 
@@ -65,8 +88,8 @@ class TestCountCooccurrences:
                 )
                 for width_str, cell in exp_m["cells"].items():
                     width = int(width_str)
-                    windows = topic.windows(width)
-                    matrix = count_cooccurrences(pair, windows, width)
+                    matrix = count_cooccurrences(pair, topic.windows(width))
+                    assert matrix.window_size == width
                     ref_counts, ref_windows = cooccurrence_reference(
                         doc_lists, width, pair.c1, pair.c2
                     )
@@ -83,7 +106,7 @@ class TestCountCooccurrences:
                 c1=tuple(exp_m["c1"]), c2=tuple(exp_m["c2"]),
                 method="frequency", topic_id=topic_id,
             )
-            matrix = count_cooccurrences(pair, topic.windows(5), 5)
+            matrix = count_cooccurrences(pair, topic.windows(5))
             ua, ub = facts["unique_pair"]
             fa, fb = facts["forbidden_pair"]
             assert matrix.counts[pair.c1.index(ua), pair.c2.index(ub)] == 1
@@ -93,32 +116,43 @@ class TestCountCooccurrences:
         topic = bundled_by_id["storm"]
         pair = _bundled_pair(topic)
         windows = topic.windows(5)
-        a = count_cooccurrences(pair, windows, 5)
-        b = count_cooccurrences(pair, list(reversed(windows)), 5)
+        # the same windows in reverse order: last window first, positions reversed
+        reversed_windows = TopicWindows(
+            window_size=5,
+            ids=windows.ids[::-1],
+            window_of=(len(windows) - 1 - windows.window_of)[::-1],
+            n_windows=len(windows),
+            vocabulary=windows.vocabulary,
+        )
+        a = count_cooccurrences(pair, windows)
+        b = count_cooccurrences(pair, reversed_windows)
+        assert a.counts.sum() > 0
         assert np.array_equal(a.counts, b.counts)
 
     def test_shard_merge_equals_whole(self, bundled_by_id):
         topic = bundled_by_id["harvest"]
         pair = _bundled_pair(topic)
-        windows = topic.windows(5)
-        whole = count_cooccurrences(pair, windows, 5)
+        whole = count_cooccurrences(pair, topic.windows(5))
+        # windows never cross documents, so sharding documents shards windows
         parts = [
-            count_cooccurrences(pair, windows[i::3], 5) for i in range(3)
+            count_cooccurrences(pair, TopicCorpus("harvest", topic.documents[i::3]).windows(5))
+            for i in range(3)
         ]
         assert np.array_equal(np.sum([p.counts for p in parts], axis=0), whole.counts)
+        assert sum(p.n_windows for p in parts) == whole.n_windows
 
     def test_monotone_under_window_growth(self, bundled_by_id):
         topic = bundled_by_id["orchestra"]
         pair = _bundled_pair(topic)
-        windows = topic.windows(5)
-        partial = count_cooccurrences(pair, windows[:30], 5)
-        full = count_cooccurrences(pair, windows, 5)
+        partial = count_cooccurrences(pair, TopicCorpus("orchestra", topic.documents[:4]).windows(5))
+        full = count_cooccurrences(pair, topic.windows(5))
+        assert 0 < partial.n_windows < full.n_windows
         assert (full.counts >= partial.counts).all()
 
     def test_entries_bounded_by_window_count(self, bundled_by_id):
         for topic in bundled_by_id.values():
             pair = _bundled_pair(topic)
-            matrix = count_cooccurrences(pair, topic.windows(5), 5)
+            matrix = count_cooccurrences(pair, topic.windows(5))
             assert matrix.counts.max() <= matrix.n_windows
 
     @settings(max_examples=60, deadline=None)
@@ -131,23 +165,77 @@ class TestCountCooccurrences:
         )
         n_windows = data.draw(st.integers(min_value=0, max_value=30))
         windows = [
-            _window(
-                data.draw(
-                    st.lists(
-                        st.sampled_from(vocab_a + vocab_b + ["x", "y"]),
-                        min_size=1,
-                        max_size=6,
-                    )
-                ),
-                index=i,
+            data.draw(
+                st.lists(
+                    st.sampled_from(vocab_a + vocab_b + ["x", "y"]),
+                    min_size=1,
+                    max_size=6,
+                )
             )
-            for i in range(n_windows)
+            for _ in range(n_windows)
         ]
         split = data.draw(st.integers(min_value=0, max_value=n_windows))
-        whole = count_cooccurrences(pair, windows)
-        left = count_cooccurrences(pair, windows[:split])
-        right = count_cooccurrences(pair, windows[split:])
+        whole = count_cooccurrences(pair, _windows(*windows))
+        left = count_cooccurrences(pair, _windows(*windows[:split]))
+        right = count_cooccurrences(pair, _windows(*windows[split:]))
+        assert (left.n_windows, right.n_windows) == (split, n_windows - split)
         assert np.array_equal(left.counts + right.counts, whole.counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracles_on_random_topics(self, data):
+        """Tiling and counting of a loaded multi-document topic equal the
+        per-document oracles, including W = 1, W longer than a document,
+        trailing partial windows, a stop-word-only document (no windows)
+        and concept terms that never occur."""
+        content = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
+        stoplist = ["the", "and", "of"]
+        docs = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(content + stoplist), min_size=1, max_size=25),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        if data.draw(st.booleans()):
+            stop_only = data.draw(st.lists(st.sampled_from(stoplist), min_size=1, max_size=5))
+            docs.insert(data.draw(st.integers(0, len(docs))), stop_only)
+        width = data.draw(st.sampled_from([1, 2, 3, 7, 30]))
+        # "ghost" is in the load's vocabulary (another topic), "never" in none
+        candidates = data.draw(st.permutations(content + ["ghost", "never"]))
+        k = data.draw(st.integers(1, 4))
+        pair = ConceptPair(
+            c1=tuple(candidates[:k]), c2=tuple(candidates[k : 2 * k]),
+            method="frequency", topic_id="t",
+        )
+        config = PipelineConfig(stoplist=frozenset(stoplist), stemming_enabled=False)
+        texts = [" ".join(doc) for doc in docs]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            entries = []
+            for i, text in enumerate([*texts, "ghost other"]):
+                (root / f"{i}.txt").write_text(text, encoding="utf-8")
+                entries.append({"doc_id": f"d{i}", "path": f"{i}.txt"})
+            manifest = {"topics": [
+                {"topic_id": "t", "documents": entries[:-1]},
+                {"topic_id": "u", "documents": entries[-1:]},
+            ]}
+            (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            topic = load_topic_corpus(root / "manifest.json", config)[0]
+
+        doc_lists = [normalize_reference(text, config.stoplist, stemming=False) for text in texts]
+        windows = topic.windows(width)
+        tiles = tiles_from_indices(
+            windows.ids.tolist(), windows.window_of.tolist(), len(windows),
+            windows.vocabulary.terms,
+        )
+        assert tiles == [tile for terms in doc_lists for tile in tile_reference(terms, width)]
+
+        matrix = count_cooccurrences(pair, windows)
+        ref_counts, ref_windows = cooccurrence_reference(doc_lists, width, pair.c1, pair.c2)
+        assert matrix.counts.tolist() == ref_counts
+        assert matrix.n_windows == len(windows) == ref_windows
+        assert matrix.window_size == width
 
 
 def _bundled_pair(topic):
@@ -158,7 +246,7 @@ def _bundled_pair(topic):
 
 class TestHistogram:
     def test_all_zero_matrix(self):
-        matrix = count_cooccurrences(_pair(), [])
+        matrix = count_cooccurrences(_pair(), _windows())
         hist = cooccurrence_histogram(matrix)
         assert hist.bins == {0: 100}
 
@@ -176,7 +264,7 @@ class TestHistogram:
     def test_matches_reference_on_bundled_corpus(self, bundled_by_id, planted_expected):
         topic = bundled_by_id["storm"]
         pair = _bundled_pair(topic)
-        matrix = count_cooccurrences(pair, topic.windows(5), 5)
+        matrix = count_cooccurrences(pair, topic.windows(5))
         hist = cooccurrence_histogram(matrix)
         assert hist.bins == histogram_reference(matrix.counts.tolist())
         frozen = planted_expected["topics"]["storm"]["methods"]["frequency"]["cells"]["5"]
@@ -184,7 +272,7 @@ class TestHistogram:
 
     def test_bins_always_sum_to_matrix_size(self, bundled_by_id):
         for topic in bundled_by_id.values():
-            matrix = count_cooccurrences(_bundled_pair(topic), topic.windows(5), 5)
+            matrix = count_cooccurrences(_bundled_pair(topic), topic.windows(5))
             hist = cooccurrence_histogram(matrix)
             assert sum(hist.bins.values()) == matrix.counts.size
 
@@ -202,6 +290,6 @@ class TestCoocMatrixValidation:
             CoocMatrix(concept_pair=_pair(), window_size=5, counts=counts, n_windows=5)
 
     def test_counts_read_only(self):
-        matrix = count_cooccurrences(_pair(), [_window(["a0", "b0"])])
+        matrix = count_cooccurrences(_pair(), _windows(["a0", "b0"]))
         with pytest.raises(ValueError):
             matrix.counts[0, 0] = 99

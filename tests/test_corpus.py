@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,19 +14,33 @@ from entangletext import (
     PipelineConfig,
     RawDocument,
     TermSequence,
+    TopicCorpus,
+    TopicWindows,
+    Vocabulary,
     bundled_corpus_path,
     default_stoplist,
     load_topic_corpus,
-    segment_windows,
     tokenize_and_normalize,
 )
 from entangletext import corpus
 
-from oracles import normalize_reference
+from oracles import normalize_reference, tile_reference, tiles_from_indices
 
 
 def _doc(text):
     return RawDocument(doc_id="d1", topic_id="t1", text=text)
+
+
+def _one_document_topic(n_terms):
+    vocabulary = Vocabulary()
+    doc = TermSequence("d", vocabulary.encode(f"w{i}" for i in range(n_terms)), vocabulary)
+    return TopicCorpus(topic_id="t", documents=(doc,))
+
+
+def _tiles(windows):
+    return tiles_from_indices(
+        windows.ids.tolist(), windows.window_of.tolist(), len(windows), windows.vocabulary.terms
+    )
 
 
 class TestTokenizeAndNormalize:
@@ -82,21 +97,25 @@ class TestTokenizeAndNormalize:
 
 class TestSegmentWindows:
     def test_tiling_45_terms(self):
-        seq = TermSequence(doc_id="d", terms=tuple(f"w{i}" for i in range(45)))
-        windows = segment_windows(seq, 20)
-        assert [len(w.terms) for w in windows] == [20, 20, 5]
-        assert [w.index for w in windows] == [0, 1, 2]
+        windows = _one_document_topic(45).windows(20)
+        assert len(windows) == windows.n_windows == 3
+        assert windows.window_size == 20
+        # window i holds positions 20i .. 20i + 19
+        assert np.bincount(windows.window_of).tolist() == [20, 20, 5]
+        assert windows.window_of.tolist() == [i // 20 for i in range(45)]
 
     def test_exact_fit(self):
-        seq = TermSequence(doc_id="d", terms=tuple(f"w{i}" for i in range(20)))
-        assert [len(w.terms) for w in segment_windows(seq, 20)] == [20]
+        windows = _one_document_topic(20).windows(20)
+        assert np.bincount(windows.window_of).tolist() == [20]
 
     def test_empty_document(self):
-        assert segment_windows(TermSequence(doc_id="d", terms=()), 7) == []
+        windows = _one_document_topic(0).windows(7)
+        assert len(windows) == 0
+        assert windows.ids.size == windows.window_of.size == 0
 
     def test_window_size_zero_rejected(self):
         with pytest.raises(ValueError):
-            segment_windows(TermSequence(doc_id="d", terms=("a",)), 0)
+            _one_document_topic(1).windows(0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -104,13 +123,60 @@ class TestSegmentWindows:
         width=st.integers(min_value=1, max_value=40),
     )
     def test_tiling_reconstructs_sequence(self, n_terms, width):
-        seq = TermSequence(doc_id="d", terms=tuple(f"w{i}" for i in range(n_terms)))
-        windows = segment_windows(seq, width)
-        flat = [t for w in windows for t in w.terms]
-        assert flat == list(seq.terms)
-        assert all(len(w.terms) == width for w in windows[:-1])
-        if windows:
-            assert 1 <= len(windows[-1].terms) <= width
+        topic = _one_document_topic(n_terms)
+        tiles = _tiles(topic.windows(width))
+        flat = [t for tile in tiles for t in tile]
+        assert flat == list(topic.documents[0].terms)
+        assert all(len(tile) == width for tile in tiles[:-1])
+        if tiles:
+            assert 1 <= len(tiles[-1]) <= width
+        assert tiles == tile_reference(topic.documents[0].terms, width)
+
+    def test_windows_never_cross_documents(self):
+        vocabulary = Vocabulary()
+        docs = tuple(
+            TermSequence(f"d{i}", vocabulary.encode(f"{i}-{j}" for j in range(n)), vocabulary)
+            for i, n in enumerate([7, 0, 3, 10])
+        )
+        tiles = _tiles(TopicCorpus(topic_id="t", documents=docs).windows(4))
+        assert tiles == [t for d in docs for t in tile_reference(d.terms, 4)]
+        assert [len(t) for t in tiles] == [4, 3, 3, 4, 4, 2]
+
+
+class TestTermIds:
+    def test_ids_outside_vocabulary_rejected(self):
+        vocabulary = Vocabulary()
+        vocabulary.encode(["a", "b"])
+        with pytest.raises(ValueError, match="outside"):
+            TermSequence("d", [0, 2], vocabulary)
+        with pytest.raises(ValueError, match="outside"):
+            TermSequence("d", [-1], vocabulary)
+
+    def test_malformed_windows_rejected(self):
+        vocabulary = Vocabulary()
+        vocabulary.encode(["a", "b"])
+        for ids, window_of, n_windows in [
+            ([0, 1], [0], 1),  # lengths differ
+            ([0, 1], [0, 1], 1),  # window index past n_windows
+            ([0, 1], [-1, 0], 1),  # negative window index
+            ([0, 2], [0, 0], 1),  # term id past the vocabulary
+        ]:
+            with pytest.raises(ValueError):
+                TopicWindows(2, np.array(ids), np.array(window_of), n_windows, vocabulary)
+
+    def test_topic_documents_share_one_vocabulary(self):
+        one, two = Vocabulary(), Vocabulary()
+        one.add("a")
+        two.add("a")
+        with pytest.raises(ValueError, match="one vocabulary"):
+            TopicCorpus("t", (TermSequence("x", [0], one), TermSequence("y", [0], two)))
+
+    def test_one_vocabulary_per_load(self, bundled_topics):
+        vocabulary = bundled_topics[0].vocabulary
+        assert all(t.vocabulary is vocabulary for t in bundled_topics)
+        assert len(set(vocabulary.terms)) == len(vocabulary)
+        assert all(vocabulary.index[t] == i for i, t in enumerate(vocabulary.terms))
+        assert all(d.ids.dtype == np.int32 for t in bundled_topics for d in t.documents)
 
 
 class TestLoadTopicCorpus:
@@ -299,9 +365,13 @@ class TestBundledCorpus:
 
     def test_planted_window_content(self, bundled_by_id, planted_facts):
         for topic_id, facts in planted_facts.items():
-            windows = {(w.doc_id, w.index): w for w in bundled_by_id[topic_id].windows(5)}
-            planted = windows[(facts["planted_doc_id"], facts["planted_window_index"])]
-            assert list(planted.terms) == facts["planted_terms"]
+            topic = bundled_by_id[topic_id]
+            doc_ids = [d.doc_id for d in topic.documents]
+            # windows are numbered across the topic: skip the earlier documents'
+            before = topic.documents[: doc_ids.index(facts["planted_doc_id"])]
+            first = sum(-(-len(d) // 5) for d in before)
+            tiles = _tiles(topic.windows(5))
+            assert tiles[first + facts["planted_window_index"]] == facts["planted_terms"]
 
 
 def test_default_stoplist_is_normalized():

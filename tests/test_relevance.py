@@ -4,12 +4,15 @@ import math
 
 import pytest
 
+import numpy as np
+
 from entangletext import (
     ConceptPair,
     CorpusError,
     RankedTerms,
     TermSequence,
     TopicCorpus,
+    Vocabulary,
     build_concept_pair,
     document_frequencies,
     rank_by_frequency,
@@ -19,23 +22,25 @@ from entangletext import (
 from oracles import frequency_ranking_reference, tfidf_ranking_reference
 
 
-def _topic(topic_id, docs):
+def _topic(topic_id, docs, vocabulary=None):
+    # topics ranked against one collection must share one vocabulary
+    vocabulary = Vocabulary() if vocabulary is None else vocabulary
     return TopicCorpus(
         topic_id=topic_id,
         documents=tuple(
-            TermSequence(doc_id=f"{topic_id}-{i}", terms=tuple(terms))
+            TermSequence(f"{topic_id}-{i}", vocabulary.encode(terms), vocabulary)
             for i, terms in enumerate(docs)
         ),
     )
 
 
-def _wide_topic(topic_id, extra_docs=(), seed_terms=26):
+def _wide_topic(topic_id, extra_docs=(), seed_terms=26, vocabulary=None):
     # 26 distinct single-letter terms with strictly decreasing counts
     letters = [chr(ord("a") + i) for i in range(seed_terms)]
     doc = []
     for rank, term in enumerate(letters):
         doc.extend([term] * (seed_terms - rank))
-    return _topic(topic_id, [doc, *extra_docs])
+    return _topic(topic_id, [doc, *extra_docs], vocabulary)
 
 
 class TestFrequencyRanking:
@@ -81,7 +86,7 @@ class TestFrequencyRanking:
             tripled = TopicCorpus(
                 topic_id=topic.topic_id,
                 documents=tuple(
-                    TermSequence(doc_id=d.doc_id, terms=d.terms * 3)
+                    TermSequence(d.doc_id, np.tile(d.ids, 3), d.vocabulary)
                     for d in topic.documents
                 ),
             )
@@ -103,14 +108,11 @@ class TestTfidfRanking:
         score = 4 * (math.log((9 + 1) / (1 + 1)) + 1.0)
         assert score == pytest.approx(10.43775164973641)
 
-        main = _wide_topic("main")
-        main = TopicCorpus(
-            topic_id="main",
-            documents=main.documents
-            + (TermSequence(doc_id="rare-doc", terms=("rareword",) * 4),),
-        )
+        vocabulary = Vocabulary()
+        main = _wide_topic("main", extra_docs=[("rareword",) * 4], vocabulary=vocabulary)
         others = [
-            _topic(f"o{i}", [[f"filler{i}{j}" for j in range(30)]]) for i in range(7)
+            _topic(f"o{i}", [[f"filler{i}{j}" for j in range(30)]], vocabulary)
+            for i in range(7)
         ]
         # collection: 2 docs in main + 7 elsewhere = 9; rareword df=1, tf=4
         ranked = rank_by_tfidf(main, [main, *others])
@@ -133,20 +135,31 @@ class TestTfidfRanking:
         with pytest.raises(ValueError, match="collection"):
             rank_by_tfidf(topic, [])
 
+    def test_separate_vocabularies_rejected(self):
+        # term ids of different loads do not name the same terms
+        topic, other = _wide_topic("t"), _wide_topic("u")
+        with pytest.raises(ValueError, match="one vocabulary"):
+            rank_by_tfidf(topic, [topic, other])
+        with pytest.raises(ValueError, match="one vocabulary"):
+            document_frequencies([topic, other])
+        with pytest.raises(ValueError, match="df does not match"):
+            rank_by_tfidf(topic, [topic], df=np.ones(3, dtype=np.int64))
+
 
 class TestTermStatistics:
     def test_counts_and_document_frequencies(self):
         topic = _topic("t", [["a", "a", "b"], ["a", "c"]])
         tf = dict(rank_by_frequency(topic).terms)
         df = document_frequencies([topic])
-        assert tf["a"] == 3.0 and df["a"] == 2
-        assert tf["b"] == 1.0 and df["b"] == 1
+        index = topic.vocabulary.index
+        assert tf["a"] == 3.0 and df[index["a"]] == 2
+        assert tf["b"] == 1.0 and df[index["b"]] == 1
 
     def test_collection_wide_df(self, bundled_topics):
         topic = bundled_topics[0]
         df = document_frequencies(bundled_topics)
         # shared vocabulary occurs in documents of other topics too
-        assert df["report"] > len(topic.documents)
+        assert df[topic.vocabulary.index["report"]] > len(topic.documents)
 
 
 class TestConceptPair:

@@ -321,6 +321,18 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_non_integer_thread_cap_rejected_before_analyze_reads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the corpus was loaded before ENTANGLE_THREADS was checked")
+
+        monkeypatch.setattr(report, "load_topic_corpus", must_not_run)
+        monkeypatch.setenv("ENTANGLE_THREADS", "many")
+        argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "o")]
+        self._assert_one_line_error(main(argv), capsys)
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _two_topic_manifest(tmp_path, topic_id):
         docs = tmp_path / "docs"
