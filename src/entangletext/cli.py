@@ -11,8 +11,9 @@ import sys
 from pathlib import Path
 
 from .corpus import CorpusError
-from .report import RunConfig, run_analyze, run_simulate
+from .report import DEFAULT_METHODS, RunConfig, run_analyze, run_simulate
 from .selftest import run_selftest
+from .simulation import DEFAULT_EXPONENTS
 
 __all__ = ["main", "build_parser"]
 
@@ -56,33 +57,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entangletext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="run the corpus analysis end to end")
+    # analyze flags default to absent, so RunConfig holds every default
+    analyze = sub.add_parser(
+        "analyze", help="run the corpus analysis end to end", argument_default=argparse.SUPPRESS
+    )
     analyze.add_argument("manifest", type=Path, help="corpus manifest JSON")
-    analyze.add_argument("--out", type=Path, required=True, help="output directory")
+    analyze.add_argument(
+        "--out", type=Path, required=True, dest="out_dir", metavar="OUT", help="output directory"
+    )
     analyze.add_argument(
         "--window",
         type=int,
         action="append",
+        dest="window_sizes",
         metavar="W",
-        help="window size; repeatable (default: 20 10 5)",
+        help=f"window size; repeatable (default: {' '.join(map(str, RunConfig.window_sizes))})",
     )
     analyze.add_argument(
         "--relevance",
-        choices=("frequency", "tfidf"),
+        choices=DEFAULT_METHODS,
         action="append",
-        help="relevance method; repeatable (default: both)",
+        dest="methods",
+        help="relevance method; repeatable (default: all)",
     )
-    analyze.add_argument("--stoplist", type=Path, help="custom stoplist file")
     analyze.add_argument(
-        "--no-stem", action="store_true", help="disable Porter stemming"
+        "--stoplist", type=Path, dest="stoplist_path", metavar="STOPLIST", help="custom stoplist file"
+    )
+    analyze.add_argument(
+        "--no-stem", action="store_false", dest="stemming", help="disable Porter stemming"
     )
     analyze.add_argument(
         "--top-violations",
         type=int,
-        default=10,
-        help="violating subset pairs kept per result JSON",
+        help=f"violating subset pairs kept per result JSON (default {RunConfig.top_violations})",
     )
-    analyze.add_argument("--k", type=int, default=10, help="terms per concept (at least 4)")
+    analyze.add_argument(
+        "--k",
+        type=int,
+        dest="concept_size",
+        metavar="K",
+        help=f"terms per concept, at least 4 (default {RunConfig.concept_size})",
+    )
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo violation-probability curves")
     simulate.add_argument(
@@ -91,17 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--lambda-grid",
         type=_parse_grid,
-        default=None,
         metavar="A:B:STEP",
-        dest="lambda_grid",
-        help="zipf exponent grid (default 0.1:2.0:0.1)",
+        help="zipf exponent grid, --kind zipf only "
+        f"(default {DEFAULT_EXPONENTS[0]}, {DEFAULT_EXPONENTS[1]}, ..., {DEFAULT_EXPONENTS[-1]})",
     )
     simulate.add_argument(
         "--mu-grid",
         type=_parse_grid,
-        default=None,
         metavar="A:B:STEP",
-        help="poisson mean grid (default: B/10 per bound)",
+        help="poisson mean grid, --kind poisson only (default: B/10 per bound)",
     )
     simulate.add_argument(
         "--B",
@@ -124,17 +137,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "analyze":
+        options = vars(args)
+        del options["command"]
         try:
-            config = RunConfig(
-                manifest=args.manifest,
-                out_dir=args.out,
-                window_sizes=tuple(args.window) if args.window else (20, 10, 5),
-                methods=tuple(args.relevance) if args.relevance else ("frequency", "tfidf"),
-                concept_size=args.k,
-                stoplist_path=args.stoplist,
-                stemming=not args.no_stem,
-                top_violations=args.top_violations,
-            )
+            config = RunConfig(**options)
             reports = run_analyze(config)
         except CorpusError as exc:
             print(f"corpus error: {exc}", file=sys.stderr)
@@ -146,15 +152,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "simulate":
-        if args.kind == "zipf":
-            parameters = args.lambda_grid or _parse_grid("0.1:2.0:0.1")
-        elif args.kind == "poisson":
-            parameters = args.mu_grid
-        else:
-            parameters = None
+        grids = {"zipf": args.lambda_grid, "poisson": args.mu_grid}
         try:
+            for kind, flag in (("zipf", "--lambda-grid"), ("poisson", "--mu-grid")):
+                if grids[kind] is not None and args.kind != kind:
+                    raise ValueError(f"{flag} applies only to --kind {kind}")
             curves = run_simulate(
-                args.kind, parameters, args.bounds, args.samples, args.seed, args.out
+                args.kind, grids.get(args.kind), args.bounds, args.samples, args.seed, args.out
             )
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Topic-corpus ingestion: tokenization, normalization, window segmentation.
 
-Raw documents are reduced to ordered term sequences (maximal alphabetic
-runs, lowercased, stop-word filtered, Porter-stemmed), kept as int32 ids
-into one vocabulary per load, and then tiled into fixed-size windows.
+Raw documents are reduced to ordered term sequences by one fixed
+normalization (maximal alphabetic runs, lowercased, stop-word filtered,
+Porter-stemmed unless stemming is off), kept as int32 ids into one
+vocabulary per load, and then tiled into fixed-size windows.
 Windows never cross document boundaries; the trailing partial window is
 kept so no terms are dropped.
 """
@@ -55,37 +56,36 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"stoplist file not found: {path}")
-    words = frozenset(path.read_text(encoding="utf-8").split())
+    try:
+        words = frozenset(path.read_text(encoding="utf-8").split())
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"stoplist {path} is not UTF-8 text ({exc})") from exc
     bad = sorted(w for w in words if w != w.lower())
     if bad:
-        raise CorpusError(f"stoplist entries must be lowercase: {bad[:5]}")
+        raise CorpusError(f"stoplist {path}: entries must be lowercase: {bad[:5]}")
     return words
+
+
+_TOKEN = re.compile(r"[A-Za-z]+")  # maximal runs of alphabetic characters
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Normalization choices, immutable for the lifetime of a run.
 
-    ``stoplist`` entries are matched against the lowercased, unstemmed
-    token. When ``lowercase`` is off, surviving tokens keep their original
-    case unless stemming is on (the stemmer emits lowercase).
+    Tokens are always lowercased; ``stoplist`` entries are matched against
+    the lowercased, unstemmed token, and surviving tokens are Porter-stemmed
+    when ``stemming_enabled``.
     """
 
     stoplist: frozenset[str] = field(default_factory=default_stoplist)
     stemming_enabled: bool = True
-    lowercase: bool = True
-    token_pattern: str = r"[A-Za-z]+"  # maximal runs of alphabetic characters
 
     def __post_init__(self):
         object.__setattr__(self, "stoplist", frozenset(self.stoplist))
         bad = sorted(w for w in self.stoplist if w != w.lower())
         if bad:
             raise ValueError(f"stoplist entries must be lowercase: {bad[:5]}")
-        # tokens are whole matches (re.findall returns groups instead)
-        if re.compile(self.token_pattern).groups:
-            raise ValueError(
-                f"token_pattern must have no capturing groups, use (?:...): {self.token_pattern!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -237,30 +237,24 @@ _STOP = -1  # term id of a token the stoplist removes
 class _TermIds(dict):
     """Raw token -> term id (or _STOP) for the documents of one load.
 
-    A miss normalizes the token: lowercase, stop-filter, then stem. The stem
-    of each distinct lowercased token is computed once, so tokens differing
-    only in case share one call to ``stem``.
+    A miss on a lowercase token stop-filters it, then stems it; a token with
+    capitals takes the id of its lowercase form. So each distinct lowercased
+    token reaches ``stem`` once per load.
     """
 
     def __init__(self, config: PipelineConfig, vocabulary: Vocabulary):
         super().__init__()
         self.config = config
         self.vocabulary = vocabulary
-        self.stems: dict[str, str] = {}
 
     def __missing__(self, token: str) -> int:
-        config = self.config
         lowered = token.lower()
-        if lowered in config.stoplist:
+        if lowered != token:
+            term_id = self[lowered]
+        elif token in self.config.stoplist:
             term_id = _STOP
         else:
-            if config.stemming_enabled:
-                term = self.stems.get(lowered)
-                if term is None:
-                    term = self.stems[lowered] = stem(lowered)
-            else:
-                term = lowered if config.lowercase else token
-            term_id = self.vocabulary.add(term)
+            term_id = self.vocabulary.add(stem(token) if self.config.stemming_enabled else token)
         self[token] = term_id
         return term_id
 
@@ -280,7 +274,7 @@ def _normalize(raw: RawDocument, term_ids: _TermIds) -> TermSequence:
     Normalization is a pure function of the token, so a memo shared by the
     documents of one load normalizes each distinct token once.
     """
-    tokens = re.findall(term_ids.config.token_pattern, raw.text)
+    tokens = _TOKEN.findall(raw.text)
     ids = np.fromiter(map(term_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
     return TermSequence(doc_id=raw.doc_id, ids=ids[ids != _STOP], vocabulary=term_ids.vocabulary)
 

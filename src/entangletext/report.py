@@ -33,6 +33,7 @@ from .corpus import (
     load_topic_corpus,
 )
 from .relevance import (
+    CONCEPT_SIZE,
     build_concept_pair,
     document_frequencies,
     rank_by_frequency,
@@ -43,7 +44,6 @@ from .simulation import CurveSet, curves_to_csv, max_workers, parameter_sweep
 
 __all__ = ["RunConfig", "TopicReport", "run_analyze", "run_simulate", "max_workers"]
 
-DEFAULT_WINDOW_SIZES = (20, 10, 5)
 DEFAULT_METHODS = ("frequency", "tfidf")
 
 
@@ -53,9 +53,9 @@ class RunConfig:
 
     manifest: Path
     out_dir: Path
-    window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES
+    window_sizes: tuple[int, ...] = (20, 10, 5)
     methods: tuple[str, ...] = DEFAULT_METHODS
-    concept_size: int = 10
+    concept_size: int = CONCEPT_SIZE
     stoplist_path: Path | None = None
     stemming: bool = True
     top_violations: int = 10
@@ -175,18 +175,15 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
     for (topic_id, w, m), cell in results.items():
         reports[topic_id].cells[(w, m)] = cell
 
-    ordered = _sorted_reports(reports.values(), config)
+    ordered = _sorted_reports(reports.values(), config.methods[0], config)
     _write_outputs(ordered, pairs, config)
     return ordered
 
 
-def _sorted_reports(reports, config: RunConfig) -> list[TopicReport]:
+def _sorted_reports(reports, method: str, config: RunConfig) -> list[TopicReport]:
+    """Descending p of method at the smallest window size, ties by topic_id."""
     smallest = min(config.window_sizes)
-    method = config.methods[0]
-    return sorted(
-        reports,
-        key=lambda r: (-r.proportion(smallest, method).p, r.topic_id),
-    )
+    return sorted(reports, key=lambda r: (-r.proportion(smallest, method).p, r.topic_id))
 
 
 def _partition_json(partition) -> dict:
@@ -198,18 +195,13 @@ def _write_outputs(ordered, pairs, config: RunConfig) -> None:
     for sub in ("rankings", "matrices", "results"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
-    smallest = min(config.window_sizes)
     for method in config.methods:
         with open(out / f"summary_{method}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["topic_id", "method", "W", "p", "n_entangled", "n_pairs", "monotone_in_W"]
             )
-            by_method = sorted(
-                ordered,
-                key=lambda r: (-r.proportion(smallest, method).p, r.topic_id),
-            )
-            for report in by_method:
+            for report in _sorted_reports(ordered, method, config):
                 monotone = report.monotone_in_window(method, config.window_sizes)
                 for w in config.window_sizes:
                     prop = report.proportion(w, method)

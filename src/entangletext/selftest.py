@@ -4,9 +4,11 @@ Four checks with embedded, independently coded oracles: exact-rational
 block expectations, the alternating large/small matrix whose best
 partition reaches 4 * 198/202, equivalence of the canonical 144-partition
 scan with the full 24 x 24 row/column ordering scan, and sampling-pmf
-normalization. The partition table used by the canonical side is
-injectable so a corrupted table is detectable (negative control in the
-test suite).
+normalization. The large/small and ordering checks also hold
+``chsh_max_abs_batch``, the kernel behind every ``analyze`` and
+``simulate`` verdict, to the exact ordering scan. The partition table
+used by the canonical side is injectable so a corrupted table is
+detectable (negative control in the test suite).
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ from itertools import permutations
 import numpy as np
 
 from .chsh import SubMatrix, canonical_partitions, chsh_statistic, enumerate_partitions
+from .chsh import chsh_max_abs_batch, expected_value
 from .simulation import DistributionSpec, distribution_pmf
 
 __all__ = ["CheckResult", "run_selftest"]
+
+_N_MATRICES = 50  # random matrices of the ordering-equivalence check
+_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,6 @@ def _expectation_fraction(f11, f12, f21, f22):
 
 
 def _check_expectations(rng) -> CheckResult:
-    from .chsh import expected_value
-
     quads = rng.integers(0, 200, size=(50, 4)).tolist()
     worst = 0.0
     for f11, f12, f21, f22 in quads:
@@ -56,102 +60,98 @@ def _check_expectations(rng) -> CheckResult:
     return CheckResult("block expectations", passed, f"max |error| = {worst:.2e}")
 
 
-def _large_small_matrix(large=100, small=1):
-    return np.array(
-        [
-            [large, small, large, small],
-            [small, large, small, large],
-            [large, small, small, large],
-            [small, large, large, small],
-        ]
-    )
+# alternating large/small counts: the best partition reaches 4 * 198/202
+_LARGE_SMALL = np.array(
+    [[100, 1, 100, 1], [1, 100, 1, 100], [100, 1, 1, 100], [1, 100, 100, 1]]
+)
+
+
+def _submatrix(counts) -> SubMatrix:
+    return SubMatrix(rows=("r1", "r2", "r3", "r4"), cols=("c1", "c2", "c3", "c4"), counts=counts)
+
+
+def _canonical_scan(counts, partition_pairs) -> tuple[list[float], int]:
+    """|S| of every defined pair of a partition table, and the number skipped."""
+    matrix = _submatrix(counts)
+    values = [chsh_statistic(matrix, row_p, col_p) for row_p, col_p in partition_pairs]
+    return [abs(s) for s in values if s is not None], values.count(None)
+
+
+def _ordering_scan(f) -> tuple[list[Fraction], int]:
+    """Exact |S| of every defined (row ordering, column ordering) pair of a
+    4x4 matrix, and the number of orderings with an undefined block."""
+    values = []
+    skipped = 0
+    orderings = list(permutations(range(4)))
+    for rp in orderings:
+        for cp in orderings:
+            blocks = [
+                _expectation_fraction(f[r0][c0], f[r0][c1], f[r1][c0], f[r1][c1])
+                for r0, r1 in ((rp[0], rp[1]), (rp[2], rp[3]))
+                for c0, c1 in ((cp[0], cp[1]), (cp[2], cp[3]))
+            ]
+            if any(b is None for b in blocks):
+                skipped += 1
+            else:
+                e_ab, e_abp, e_apb, e_apbp = blocks
+                values.append(abs(e_ab + e_apb + e_abp - e_apbp))
+    return values, skipped
+
+
+def _batch_mismatch(counts, full_abs, full_skipped) -> str | None:
+    """How chsh_max_abs_batch disagrees with the exact ordering scan, if it does."""
+    max_abs, _, n_skipped = chsh_max_abs_batch(counts)
+    want = max(full_abs, default=Fraction(0))
+    if bool(max_abs[0] > 2) != (want > 2):
+        return "batch kernel verdict differs from the exact scan"
+    if abs(max_abs[0] - float(want)) > 1e-12:
+        return f"batch kernel max |S| {max_abs[0]!r} != {float(want)!r}"
+    if full_skipped != 4 * n_skipped[0]:
+        return "batch kernel skip count differs from the exact scan"
+    return None
 
 
 def _check_large_small(partition_pairs) -> CheckResult:
-    target = float(4 * Fraction(198, 202))
-    matrix = SubMatrix(
-        rows=("r1", "r2", "r3", "r4"), cols=("c1", "c2", "c3", "c4"),
-        counts=_large_small_matrix(),
-    )
-    best = 0.0
-    for row_p, col_p in partition_pairs:
-        s = chsh_statistic(matrix, row_p, col_p)
-        if s is not None:
-            best = max(best, abs(s))
-    swapped = SubMatrix(
-        rows=matrix.rows, cols=matrix.cols,
-        counts=matrix.counts[:, [1, 0, 3, 2]],
-    )
+    target = 4 * Fraction(198, 202)
+    best = max(_canonical_scan(_LARGE_SMALL, partition_pairs)[0], default=0.0)
     natural = (canonical_partitions("rows")[0], canonical_partitions("cols")[0])
-    s_swapped = chsh_statistic(swapped, *natural)
+    s_swapped = chsh_statistic(_submatrix(_LARGE_SMALL[:, [1, 0, 3, 2]]), *natural)
+    full_abs, full_skipped = _ordering_scan(_LARGE_SMALL.tolist())
+    mismatch = _batch_mismatch(_LARGE_SMALL, full_abs, full_skipped)
     ok = (
-        abs(best - target) <= 1e-9
+        abs(best - float(target)) <= 1e-9
         and best > 2.0
         and s_swapped is not None
         and s_swapped < 0
-        and abs(abs(s_swapped) - target) <= 1e-9
+        and abs(abs(s_swapped) - float(target)) <= 1e-9
+        and max(full_abs) == target
+        and mismatch is None
     )
     return CheckResult(
         "large/small pattern",
         ok,
-        f"max |S| = {best:.10f} (target {target:.10f}), swapped S = {s_swapped:.6f}",
+        mismatch
+        or f"max |S| = {best:.10f} (target {float(target):.10f}), swapped S = {s_swapped:.6f}",
     )
 
 
-def _check_ordering_equivalence(partition_pairs, rng, n_matrices) -> CheckResult:
-    orderings = list(permutations(range(4)))
-    for k in range(n_matrices):
+def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
+    for k in range(_N_MATRICES):
         counts = rng.integers(0, 21, size=(4, 4))
-        matrix = SubMatrix(
-            rows=("r1", "r2", "r3", "r4"), cols=("c1", "c2", "c3", "c4"), counts=counts
-        )
-        canonical_abs = []
-        canonical_skipped = 0
-        for row_p, col_p in partition_pairs:
-            s = chsh_statistic(matrix, row_p, col_p)
-            if s is None:
-                canonical_skipped += 1
-            else:
-                canonical_abs.append(abs(s))
-
-        full_abs = []
-        full_skipped = 0
-        f = counts
-        for rp in orderings:
-            for cp in orderings:
-                blocks = []
-                for rr in ((rp[0], rp[1]), (rp[2], rp[3])):
-                    for cc in ((cp[0], cp[1]), (cp[2], cp[3])):
-                        f11 = f[rr[0], cc[0]]
-                        f12 = f[rr[0], cc[1]]
-                        f21 = f[rr[1], cc[0]]
-                        f22 = f[rr[1], cc[1]]
-                        total = f11 + f12 + f21 + f22
-                        blocks.append(
-                            None if total == 0 else (f11 + f22 - f12 - f21) / total
-                        )
-                e_ab, e_abp, e_apb, e_apbp = blocks[0], blocks[1], blocks[2], blocks[3]
-                if None in blocks:
-                    full_skipped += 1
-                else:
-                    full_abs.append(abs(e_ab + e_apb + e_abp - e_apbp))
-
-        if full_skipped != 4 * canonical_skipped:
-            return CheckResult(
-                "ordering equivalence", False, f"skip counts diverge on matrix {k}"
-            )
-        if (any(a > 2 for a in canonical_abs)) != (any(a > 2 for a in full_abs)):
-            return CheckResult(
-                "ordering equivalence", False, f"violation decision diverges on matrix {k}"
-            )
+        canonical_abs, canonical_skipped = _canonical_scan(counts, partition_pairs)
+        full_abs, full_skipped = _ordering_scan(counts.tolist())
         want = np.repeat(np.sort(canonical_abs), 4)
-        got = np.sort(full_abs)
-        if want.shape != got.shape or not np.allclose(want, got, atol=1e-12, rtol=0.0):
-            return CheckResult(
-                "ordering equivalence", False, f"|S| multisets diverge on matrix {k}"
-            )
+        got = np.sort([float(v) for v in full_abs])
+        if full_skipped != 4 * canonical_skipped:
+            problem = "skip counts diverge"
+        elif want.shape != got.shape or not np.allclose(want, got, atol=1e-12, rtol=0.0):
+            problem = "|S| multisets diverge"
+        else:
+            problem = _batch_mismatch(counts, full_abs, full_skipped)
+        if problem:
+            return CheckResult("ordering equivalence", False, f"{problem} on matrix {k}")
     return CheckResult(
-        "ordering equivalence", True, f"{n_matrices} matrices, 576 vs 144 orderings"
+        "ordering equivalence", True, f"{_N_MATRICES} matrices, 576 vs 144 orderings"
     )
 
 
@@ -175,9 +175,7 @@ def _check_pmf_normalization() -> CheckResult:
     return CheckResult("pmf normalization", worst <= 1e-12, f"max |sum - 1| = {worst:.2e}")
 
 
-def run_selftest(
-    partition_pairs=None, n_matrices: int = 50, seed: int = 7, stream=None
-) -> list[CheckResult]:
+def run_selftest(partition_pairs=None, stream=None) -> list[CheckResult]:
     """Run every embedded check and print one line per check.
 
     ``partition_pairs`` overrides the canonical 144-pair table (test hook:
@@ -186,11 +184,11 @@ def run_selftest(
     stream = stream if stream is not None else sys.stdout
     if partition_pairs is None:
         partition_pairs = enumerate_partitions()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     results = [
         _check_expectations(rng),
         _check_large_small(partition_pairs),
-        _check_ordering_equivalence(partition_pairs, rng, n_matrices),
+        _check_ordering_equivalence(partition_pairs, rng),
         _check_pmf_normalization(),
     ]
     width = max(len(r.name) for r in results)

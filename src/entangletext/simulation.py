@@ -37,6 +37,9 @@ __all__ = [
 # a (4, 9, _SAMPLE_CHUNK) int64 temporary of the split kernel stays in cache
 _SAMPLE_CHUNK = 2048
 
+# the zipf grid of the paper's figure: 0.1, 0.2, ..., 2.0
+DEFAULT_EXPONENTS = tuple(round(0.1 * i, 10) for i in range(1, 21))
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -173,23 +176,24 @@ def _spec_for(kind: str, parameter: float | None, bound: int) -> DistributionSpe
         return DistributionSpec.zipf(parameter, bound)
     if kind == "poisson":
         return DistributionSpec.poisson(parameter, bound)
-    return DistributionSpec.homogeneous(bound)
+    return DistributionSpec(kind, bound)  # rejects an unknown kind
 
 
 def parameter_sweep(
     kind: str,
     parameters: Sequence[float] | None,
     bounds: Sequence[int],
-    n_samples: int = 10_000,
-    seed: int = 42,
+    n_samples: int,
+    seed: int,
 ) -> CurveSet:
     """One estimate per (parameter, B) grid point.
 
     Points are grouped by B, parameters in the given order. ``parameters``
-    is ignored for the homogeneous kind and defaults to B / 10 for the
-    truncated Poisson when omitted. Per-point seeds derive from
-    (seed, point index), so the sweep is reproducible as a whole. Every
-    point is validated before any is sampled; points then run in parallel.
+    is ignored for the homogeneous kind; when omitted it is
+    DEFAULT_EXPONENTS for zipf and B / 10 for the truncated Poisson. An
+    empty grid raises. Per-point seeds derive from (seed, point index), so
+    the sweep is reproducible as a whole. Every point is validated before
+    any is sampled; points then run in parallel.
     """
     bounds = list(bounds)
     if not bounds:
@@ -199,9 +203,9 @@ def parameter_sweep(
     elif parameters is None and kind == "poisson":
         grid = [(b / 10.0, b) for b in bounds]
     else:
-        parameters = list(parameters or [])
+        parameters = list(DEFAULT_EXPONENTS if parameters is None else parameters)
         if not parameters:
-            raise ValueError(f"a parameter grid is required for kind {kind!r}")
+            raise ValueError(f"the parameter grid for kind {kind!r} is empty")
         grid = [(p, b) for b in bounds for p in parameters]
 
     specs = [_spec_for(kind, parameter, bound) for parameter, bound in grid]

@@ -88,11 +88,11 @@ class TestTokenizeAndNormalize:
         with pytest.raises(ValueError, match="lowercase"):
             PipelineConfig(stoplist=frozenset({"The"}))
 
-
-    def test_capturing_group_pattern_rejected(self):
-        with pytest.raises(ValueError, match="capturing groups"):
-            PipelineConfig(token_pattern=r"([A-Za-z])+")
-        PipelineConfig(token_pattern=r"(?:[A-Za-z])+")
+    def test_case_variants_share_one_term_id(self):
+        config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
+        seq = tokenize_and_normalize(_doc("Gust GUST gust gUST"), config)
+        assert seq.ids.tolist() == [0, 0, 0, 0]
+        assert seq.vocabulary.terms == ["gust"]
 
 
 class TestSegmentWindows:
@@ -215,9 +215,8 @@ class TestLoadTopicCorpus:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"stemming_enabled": False}, {"lowercase": False},
-         {"lowercase": False, "stemming_enabled": False}],
-        ids=["stem", "no-stem", "keep-case", "keep-case-no-stem"],
+        [{}, {"stemming_enabled": False}],
+        ids=["stem", "no-stem"],
     )
     def test_terms_equal_per_document_normalization(self, options, tmp_path):
         config = PipelineConfig(stoplist=frozenset({"the", "and", "will"}), **options)

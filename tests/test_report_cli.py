@@ -1,6 +1,7 @@
 """End-to-end runs, artifact formats, CLI behavior, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -21,8 +22,11 @@ from entangletext import (
     run_simulate,
     simulation,
 )
+from entangletext import cli
 from entangletext.cli import main
 from entangletext.report import max_workers
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +259,23 @@ class TestCli:
         )
         self._assert_one_line_corpus_error(manifest, tmp_path, capsys)
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"the\nAnd\n", b"\xff\xfethe\nand\n"],
+        ids=["missing", "uppercase", "not-utf8"],
+    )
+    def test_bad_stoplist_exit_2_names_the_file(self, content, tmp_path, capsys):
+        stoplist = tmp_path / "stop.txt"
+        if content is not None:
+            stoplist.write_bytes(content)
+        argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "o"),
+                "--stoplist", str(stoplist)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corpus error: ") and err.count("\n") == 1
+        assert str(stoplist) in err
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _assert_one_line_error(code, capsys):
         err = capsys.readouterr().err
@@ -305,6 +326,25 @@ class TestCli:
         out = tmp_path / "c.csv"
         argv = ["simulate", *flags, "--samples", "10000", "--out", str(out)]
         self._assert_one_line_error(main(argv), capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "zipf", "--mu-grid", "1:2:1"],
+            ["--kind", "poisson", "--lambda-grid", "0.5:1:0.5"],
+            ["--kind", "homogeneous", "--lambda-grid", "0.5:1:0.5"],
+            ["--kind", "homogeneous", "--lambda-grid", "0.5:1:0.5", "--mu-grid", "1:2:1"],
+        ],
+        ids=["zipf-mu", "poisson-lambda", "homogeneous-lambda", "homogeneous-both"],
+    )
+    def test_grid_flag_of_another_kind_rejected(self, flags, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sweep ran with a grid flag of another kind")
+
+        monkeypatch.setattr(report, "parameter_sweep", must_not_run)
+        out = tmp_path / "c.csv"
+        self._assert_one_line_error(main(["simulate", *flags, "--out", str(out)]), capsys)
         assert not out.exists()
 
     def test_non_integer_thread_cap_exit_1(self, tmp_path, subprocess_env):
@@ -430,6 +470,19 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(r["lambda"] == "" and r["mu"] == "" for r in rows)
+
+    def test_analyze_defaults_are_run_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_analyze", lambda config: seen.append(config) or [])
+        manifest, out = bundled_corpus_path(), tmp_path / "o"
+        assert main(["analyze", str(manifest), "--out", str(out)]) == 0
+        assert seen == [RunConfig(manifest, out)]
+
+    def test_simulate_defaults_write_the_figure_sweep(self, tmp_path, capsys):
+        digest, _ = (DATA / "figure_sweep.sha256").read_text(encoding="utf-8").split()
+        out = tmp_path / "c.csv"
+        assert main(["simulate", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_selftest_cli(self, capsys):
         assert main(["selftest"]) == 0

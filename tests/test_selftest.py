@@ -2,7 +2,10 @@
 
 import io
 
-from entangletext import enumerate_partitions, run_selftest
+import numpy as np
+
+from entangletext import chsh, enumerate_partitions, run_selftest
+from entangletext.cli import main
 
 
 def test_pristine_build_passes():
@@ -31,3 +34,17 @@ def test_truncated_partition_table_fails():
     pairs = enumerate_partitions()[:100]
     results = run_selftest(partition_pairs=pairs, stream=io.StringIO())
     assert not all(r.passed for r in results)
+
+
+def test_zeroed_batch_kernel_fails(monkeypatch, capsys):
+    # the kernel behind every analyze and simulate verdict reports S = 0
+    def zero_kernel(blocks):
+        n = len(blocks)
+        return np.zeros(n), np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int64)
+
+    monkeypatch.setattr(chsh, "_split_kernel", zero_kernel)
+    by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
+    assert not by_name["large/small pattern"].passed
+    assert not by_name["ordering equivalence"].passed
+    assert main(["selftest"]) == 3
+    assert "FAIL" in capsys.readouterr().out

@@ -182,6 +182,19 @@ class TestParameterSweep:
         with pytest.raises(ValueError):
             parameter_sweep("zipf", [0.5], [], n_samples=10, seed=1)
 
+    def test_zipf_default_is_the_figure_grid(self):
+        cur = parameter_sweep("zipf", None, [10], n_samples=10, seed=1)
+        assert [p for p, _ in cur.grid] == [round(0.1 * i, 10) for i in range(1, 21)]
+
+    @pytest.mark.parametrize("kind", ["zipf", "poisson"])
+    def test_empty_grid_rejected(self, kind):
+        with pytest.raises(ValueError, match="empty"):
+            parameter_sweep(kind, [], [10], n_samples=10, seed=1)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown distribution kind"):
+            parameter_sweep("uniform", None, [10], n_samples=10, seed=1)
+
 
 def test_import_leaves_scipy_out(subprocess_env):
     code = "import sys, entangletext; print('scipy' in sys.modules)"
