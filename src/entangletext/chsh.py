@@ -18,9 +18,9 @@ the unprimed pair in ascending index order, 12 partitions per side, 144
 partition pairs per submatrix. A partition pair whose S is undefined is
 skipped; it cannot witness a violation.
 
-Every maximum of |S| comes from one kernel, ``_split_kernel``. Four
-indices split into two unordered pairs in 3 ways per side, so the 144
-partition pairs fall into 9 split pairs of 16. The 16 partition pairs of
+Every reported maximum of |S| comes from one kernel, ``_split_kernel``.
+Four indices split into two unordered pairs in 3 ways per side, so the
+144 partition pairs fall into 9 split pairs of 16. The 16 partition pairs of
 a split pair share its four block expectations x = n/d and differ only in
 the signs they give them, so their best |S| is sum|x| - 2 min|x| when an
 even number of the x are negative, and sum|x| otherwise (a zero x makes
@@ -35,6 +35,10 @@ below 6888, so D < 6888**4 and every numerator (at most 4 D) is below
 expressions on Python ints. The argmax is the first split pair, row
 split major, whose exact maximum is largest, then the first of its
 partition pairs in enumerate_partitions() order that attains it.
+
+The simulator keeps only the verdict, so ``_FloatVerdict`` evaluates the
+same split-pair rule in float64 and decides every matrix whose float
+maximum is more than 1e-9 from 2; the kernel re-decides the rest.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ N_PARTITION_PAIRS = N_PARTITIONS_PER_SIDE**2
 # The three splits of four indices into two ascending pairs ("halves"),
 # in the order their first partition appears in _CONFIGS.
 _SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+# The six pairs of four indices, numbered so that pairs p and p + 3 are the
+# two halves of split p.
+_HALF_PAIRS = tuple(h[0] for h in _SPLITS) + tuple(h[1] for h in _SPLITS)
+
+# A float maximum of |S| within this of 2 is re-decided exactly.
+_FLOAT_BAND = 1e-9
 
 # The kernel runs in int64 while 4 x (largest count), the largest possible
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
@@ -331,6 +342,94 @@ def chsh_max_abs_batch(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("co-occurrence counts must be integers")
     signed, argmax, n_skipped = _split_kernel(counts)
     return np.abs(signed), argmax, n_skipped
+
+
+class _FloatVerdict:
+    """Float verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
+
+    Calling it on an (n, 4, 4) array of non-negative integer counts, n <=
+    capacity, returns boolean arrays (violated, close): ``violated`` where
+    the float maximum of |S| is above 2 + 1e-9, ``close`` where it is within
+    1e-9 of 2. Outside the band the verdict is exact; only ``close``
+    matrices need ``chsh_max_abs_batch``. Every call writes into float64
+    buffers allocated once here, so one instance serves every chunk of a
+    sampling run with no temporaries larger than its two results; an
+    instance must not be shared between threads.
+
+    The six row pairs are numbered so that pair p and pair p + 3 are the
+    two halves of split p (_SPLITS order), and column pairs alike. From the
+    row-pair sums and differences of each column come the numer and denom
+    of all 36 (row pair, column pair) blocks and x = numer / denom. For
+    split pair (p, q), sum|x| and min|x| over its four blocks take two
+    gathers each (halves p and p + 3 of the rows, then of the columns), the
+    parity of its negative x is an XOR of sign bits, and its best |S| is
+    sum|x| - 2 min|x| when that parity is even and sum|x| otherwise, the
+    rule ``_split_kernel`` applies on integers. An empty block gives
+    x = 0/0 = NaN, so its split pair is NaN, and the maximum over the nine
+    split pairs is taken with fmax, which never picks NaN: a matrix whose
+    split pairs are all skipped is neither violated nor close.
+
+    Why a verdict outside the band is exact:
+
+    - Counts are integers far below 2**51 (the simulator's are at most B,
+      the length of its pmf array), so every block sum and difference is
+      exact in float64.
+    - The one correctly rounded division keeps each x within a relative
+      2**-53 of the exact quotient; its sign is exact, so the parity is
+      exact.
+    - |x| <= 1, so the three additions and the subtraction of 2 min|x| add
+      at most a few 2**-52 each: the float best of each split pair, and so
+      their maximum, is within about 1e-14 of the exact maximum, far inside
+      the 1e-9 band. A float maximum above 2 + 1e-9 therefore proves a
+      violation and one below 2 - 1e-9 proves none; exact ties at |S| = 2
+      always land in the band.
+    """
+
+    def __init__(self, capacity: int):
+        self._counts = np.empty((4, 4, capacity))
+        self._sum = np.empty((6, 4, capacity))
+        self._diff = np.empty((6, 4, capacity))
+        self._x = np.empty((6, 6, capacity))  # numer, then x
+        self._abs = np.empty((6, 6, capacity))  # denom, then |x|
+        self._negative = np.empty((6, 6, capacity), dtype=bool)
+        self._halves = np.empty((3, 6, capacity))
+        self._low = np.empty((3, 6, capacity))
+        self._odd = np.empty((3, 6, capacity), dtype=bool)
+
+    def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = len(counts)
+        f = self._counts[..., :n]
+        f[...] = counts.transpose(1, 2, 0)
+        total, diff = self._sum[..., :n], self._diff[..., :n]
+        for p, (r1, r2) in enumerate(_HALF_PAIRS):
+            np.add(f[r1], f[r2], out=total[p])
+            np.subtract(f[r1], f[r2], out=diff[p])
+        x, mag = self._x[..., :n], self._abs[..., :n]
+        for q, (c1, c2) in enumerate(_HALF_PAIRS):
+            np.subtract(diff[:, c1], diff[:, c2], out=x[:, q])
+            np.add(total[:, c1], total[:, c2], out=mag[:, q])
+        with np.errstate(invalid="ignore"):
+            np.divide(x, mag, out=x)
+        negative = self._negative[..., :n]
+        np.less(x, 0.0, out=negative)
+        np.abs(x, out=mag)
+
+        # split pair (p, q) of rows and columns lands at [p, q]
+        halves, low, odd = self._halves[..., :n], self._low[..., :n], self._odd[..., :n]
+        np.add(mag[:3], mag[3:], out=halves)
+        np.minimum(mag[:3], mag[3:], out=low)
+        np.not_equal(negative[:3], negative[3:], out=odd)
+        best, lowest, even = halves[:, :3], low[:, :3], odd[:, :3]
+        np.add(best, halves[:, 3:], out=best)
+        np.minimum(lowest, low[:, 3:], out=lowest)
+        np.equal(even, odd[:, 3:], out=even)
+        # multiplying by the mask, not subtract(where=even), keeps the loop
+        # free of branches on random parities
+        lowest *= even
+        lowest *= 2.0
+        best -= lowest
+        top = np.fmax.reduce(best, axis=(0, 1))
+        return top > VIOLATION_BOUND + _FLOAT_BAND, np.abs(top - VIOLATION_BOUND) <= _FLOAT_BAND
 
 
 def _partition_pair(index: int) -> tuple[Partition, Partition]:

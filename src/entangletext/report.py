@@ -72,6 +72,8 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in DEFAULT_METHODS]
         if unknown or not self.methods:
             raise ValueError(f"unknown relevance methods: {unknown}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"relevance methods must be distinct, got {list(self.methods)}")
         # a CHSH subset pair takes 4 terms from each concept
         if self.concept_size < 4:
             raise ValueError(f"concept size must be >= 4, got {self.concept_size}")

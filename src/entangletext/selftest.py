@@ -5,8 +5,10 @@ block expectations, the alternating large/small matrix whose best
 partition reaches 4 * 198/202, equivalence of the canonical 144-partition
 scan with the full 24 x 24 row/column ordering scan, and sampling-pmf
 normalization. The large/small and ordering checks also hold
-``chsh_max_abs_batch``, the kernel behind every ``analyze`` and
-``simulate`` verdict, to the exact ordering scan. The partition table
+``chsh_max_abs_batch``, the exact kernel behind every verdict, and the
+float verdict that decides the clear ``simulate`` matrices to the exact
+ordering scan; a matrix the float verdict calls close must lie within
+1e-9 of |S| = 2, where the exact kernel decides it. The partition table
 used by the canonical side is injectable so a corrupted table is
 detectable (negative control in the test suite).
 """
@@ -21,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .chsh import SubMatrix, canonical_partitions, chsh_statistic, enumerate_partitions
-from .chsh import chsh_max_abs_batch, expected_value
+from .chsh import _FloatVerdict, chsh_max_abs_batch, expected_value
 from .simulation import DistributionSpec, distribution_pmf
 
 __all__ = ["CheckResult", "run_selftest"]
@@ -66,6 +68,11 @@ _LARGE_SMALL = np.array(
 )
 
 
+# max |S| is exactly 2 but reads 2 + 2**-51 in floats: the float verdict must
+# leave it to the exact kernel
+_EXACT_TIE = np.array([[10, 1, 8, 2], [9, 1, 8, 11], [2, 1, 9, 7], [10, 10, 0, 3]])
+
+
 def _submatrix(counts) -> SubMatrix:
     return SubMatrix(rows=("r1", "r2", "r3", "r4"), cols=("c1", "c2", "c3", "c4"), counts=counts)
 
@@ -99,7 +106,8 @@ def _ordering_scan(f) -> tuple[list[Fraction], int]:
 
 
 def _batch_mismatch(counts, full_abs, full_skipped) -> str | None:
-    """How chsh_max_abs_batch disagrees with the exact ordering scan, if it does."""
+    """How chsh_max_abs_batch or the float verdict disagrees with the exact
+    ordering scan, if either does."""
     max_abs, _, n_skipped = chsh_max_abs_batch(counts)
     want = max(full_abs, default=Fraction(0))
     if bool(max_abs[0] > 2) != (want > 2):
@@ -108,6 +116,12 @@ def _batch_mismatch(counts, full_abs, full_skipped) -> str | None:
         return f"batch kernel max |S| {max_abs[0]!r} != {float(want)!r}"
     if full_skipped != 4 * n_skipped[0]:
         return "batch kernel skip count differs from the exact scan"
+    violated, close = _FloatVerdict(1)(np.asarray(counts)[None])
+    distance = abs(float(want) - 2)
+    if close[0] and (violated[0] or distance > 1e-9 + 1e-12):
+        return f"float verdict calls max |S| {float(want)!r} close to 2"
+    if not close[0] and (violated[0] != (want > 2) or distance < 1e-9 - 1e-12):
+        return f"float verdict decides max |S| {float(want)!r} wrongly"
     return None
 
 
@@ -136,8 +150,8 @@ def _check_large_small(partition_pairs) -> CheckResult:
 
 
 def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
-    for k in range(_N_MATRICES):
-        counts = rng.integers(0, 21, size=(4, 4))
+    matrices = [rng.integers(0, 21, size=(4, 4)) for _ in range(_N_MATRICES)]
+    for k, counts in enumerate(matrices + [_EXACT_TIE]):
         canonical_abs, canonical_skipped = _canonical_scan(counts, partition_pairs)
         full_abs, full_skipped = _ordering_scan(counts.tolist())
         want = np.repeat(np.sort(canonical_abs), 4)
@@ -151,7 +165,9 @@ def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
         if problem:
             return CheckResult("ordering equivalence", False, f"{problem} on matrix {k}")
     return CheckResult(
-        "ordering equivalence", True, f"{_N_MATRICES} matrices, 576 vs 144 orderings"
+        "ordering equivalence",
+        True,
+        f"{_N_MATRICES} matrices and an exact tie at |S| = 2, 576 vs 144 orderings",
     )
 
 

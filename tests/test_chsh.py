@@ -400,6 +400,89 @@ class TestBatchKernel:
             chsh_max_abs_batch(np.full((2, 4, 4), -1))
 
 
+def _assert_float_verdict(matrices):
+    """The float verdict against the exact kernel: exact outside the band,
+    and the band holds only maxima within 1e-9 of 2."""
+    matrices = np.asarray(matrices, dtype=np.int64)
+    violated, close = chsh._FloatVerdict(len(matrices))(matrices)
+    max_abs = chsh_max_abs_batch(matrices)[0]
+    assert not (violated & close).any()
+    assert (violated == (max_abs > 2))[~close].all()
+    assert (np.abs(max_abs[close] - 2) <= 1e-9).all()
+    return violated, close
+
+
+# maximum |S| exactly 2: the first reaches it with S = +2, the second reads
+# 2 + 2**-51 in the float verdict
+_EXACT_TIE = np.array([[9, 1, 1, 7], [6, 1, 1, 2], [8, 4, 8, 1], [2, 1, 6, 6]])
+_FLOAT_ABOVE_TIE = np.array([[10, 1, 8, 2], [9, 1, 8, 11], [2, 1, 9, 7], [10, 10, 0, 3]])
+_PAIRS_OF_FOUR = list(combinations(range(4), 2))
+
+
+@st.composite
+def _matrices_with_empty_blocks(draw):
+    # whole 2x2 blocks are zeroed, up to every block of the matrix
+    n = draw(st.integers(1, 6))
+    flat = draw(st.lists(_counts, min_size=16 * n, max_size=16 * n))
+    matrices = np.array(flat, dtype=np.int64).reshape(n, 4, 4)
+    for k in range(n):
+        blocks = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+        for p, q in blocks:
+            rows, cols = _PAIRS_OF_FOUR[p], _PAIRS_OF_FOUR[q]
+            matrices[k][np.ix_(rows, cols)] = 0
+    return matrices
+
+
+class TestFloatVerdict:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices=_matrices_with_empty_blocks())
+    def test_zeros_and_empty_blocks(self, matrices):
+        _assert_float_verdict(matrices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flat=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(1722, 10**9)), min_size=16, max_size=128
+        )
+    )
+    def test_counts_above_the_int64_bound(self, flat):
+        matrices = np.array(flat[: len(flat) // 16 * 16], dtype=np.int64).reshape(-1, 4, 4)
+        _assert_float_verdict(matrices)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        scale=st.integers(1, 10**12),
+        rows=st.permutations(range(4)),
+        cols=st.permutations(range(4)),
+        transpose=st.booleans(),
+    )
+    def test_exact_ties_land_in_the_band(self, scale, rows, cols, transpose):
+        ties = []
+        for tie in (_EXACT_TIE, _FLOAT_ABOVE_TIE, _boundary_block()):
+            tie = tie[np.ix_(rows, cols)] * scale
+            ties.append(tie.T if transpose else tie)
+        violated, close = _assert_float_verdict(ties)
+        assert close.all() and not violated.any()
+        assert (chsh_max_abs_batch(np.array(ties))[0] == 2).all()
+
+    def test_exact_ties(self):
+        evaluation = max_abs_chsh(_sub(_EXACT_TIE))
+        row_p, col_p = evaluation.argmax
+        assert chsh_statistic(_sub(_EXACT_TIE), row_p, col_p) == 2.0
+        assert max_abs_all_orderings(_FLOAT_ABOVE_TIE.tolist()) == 2
+        violated, close = _assert_float_verdict([_EXACT_TIE, _FLOAT_ABOVE_TIE])
+        assert close.all() and not violated.any()
+
+    def test_buffers_are_reused_across_batch_sizes(self):
+        rng = np.random.default_rng(1722)
+        matrices = rng.integers(0, 30, size=(64, 4, 4))
+        verdict = chsh._FloatVerdict(64)
+        whole = verdict(matrices)
+        parts = [verdict(matrices[k : k + 5]) for k in range(0, 64, 5)]
+        for got, want in zip(whole, zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))
+
+
 def _cooc_from_counts(counts, method="frequency"):
     n1, n2 = counts.shape
     pair = ConceptPair(

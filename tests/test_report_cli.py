@@ -144,6 +144,8 @@ class TestRunAnalyze:
             RunConfig(manifest="m", out_dir=tmp_path, window_sizes=(5, 5))
         with pytest.raises(ValueError):
             RunConfig(manifest="m", out_dir=tmp_path, methods=("pagerank",))
+        with pytest.raises(ValueError, match="distinct"):
+            RunConfig(manifest="m", out_dir=tmp_path, methods=("tfidf", "tfidf"))
 
 
 class TestRunSimulate:
@@ -301,8 +303,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--k", "1"], ["--k", "3"], ["--top-violations", "-1"], ["--window", "0"]],
-        ids=["k1", "k3", "top-violations-negative", "window0"],
+        [
+            ["--k", "1"],
+            ["--k", "3"],
+            ["--top-violations", "-1"],
+            ["--window", "0"],
+            ["--relevance", "frequency", "--relevance", "frequency"],
+        ],
+        ids=["k1", "k3", "top-violations-negative", "window0", "relevance-repeated"],
     )
     def test_bad_analyze_value_rejected_before_work(self, flags, tmp_path, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):

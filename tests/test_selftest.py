@@ -3,8 +3,9 @@
 import io
 
 import numpy as np
+import pytest
 
-from entangletext import chsh, enumerate_partitions, run_selftest
+from entangletext import chsh, enumerate_partitions, run_selftest, selftest
 from entangletext.cli import main
 
 
@@ -48,3 +49,21 @@ def test_zeroed_batch_kernel_fails(monkeypatch, capsys):
     assert not by_name["ordering equivalence"].passed
     assert main(["selftest"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("violated, close", [(False, False), (False, True)], ids=["never", "band"])
+def test_wrong_float_verdict_fails(violated, close, monkeypatch):
+    # a float verdict that never fires, or that sends every matrix to the band
+    class Constant:
+        def __init__(self, capacity):
+            pass
+
+        def __call__(self, counts):
+            n = len(counts)
+            return np.full(n, violated), np.full(n, close)
+
+    monkeypatch.setattr(selftest, "_FloatVerdict", Constant)
+    by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
+    assert not by_name["large/small pattern"].passed
+    assert not by_name["ordering equivalence"].passed
+    assert "float verdict" in by_name["ordering equivalence"].detail

@@ -9,6 +9,7 @@ import pytest
 
 from entangletext import (
     DistributionSpec,
+    chsh_max_abs_batch,
     distribution_pmf,
     estimate_violation_probability,
     parameter_sweep,
@@ -136,6 +137,24 @@ class TestEstimates:
         finally:
             sim._SAMPLE_CHUNK = original
         assert whole == chunked
+
+    @pytest.mark.parametrize(
+        "spec, n_samples, seed, n_violations",
+        [
+            (DistributionSpec.zipf(1.1, 100), 1, 0, 1),
+            (DistributionSpec.zipf(1.1, 100), 2049, 3, 1770),  # a partial last chunk
+            (DistributionSpec.zipf(0.7, 2000), 2049, 5, 1718),  # counts above the int64 bound
+        ],
+        ids=["one-sample", "partial-chunk", "B2000"],
+    )
+    def test_p_hat_is_the_exact_count(self, spec, n_samples, seed, n_violations):
+        # the same uniforms in one draw, every matrix decided by the exact kernel
+        draws = _draw(spec, np.random.default_rng(seed), (n_samples, 4, 4))
+        assert int((chsh_max_abs_batch(draws)[0] > 2).sum()) == n_violations
+        est = estimate_violation_probability(spec, n_samples, seed)
+        assert est.p_hat == n_violations / n_samples
+        if spec.support_bound == 2000:
+            assert draws.max() >= 1722  # 4 x 1722 reaches the int64 bound of 6888
 
     def test_std_err_formula(self):
         spec = DistributionSpec.zipf(0.7, 50)
