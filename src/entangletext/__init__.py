@@ -22,7 +22,6 @@ from .chsh import (
     enumerate_partitions,
     expected_value,
     max_abs_chsh,
-    submatrix_of,
 )
 from .cooccurrence import (
     CoocMatrix,
@@ -110,7 +109,6 @@ __all__ = [
     "max_abs_chsh",
     "chsh_max_abs_batch",
     "entanglement_proportion",
-    "submatrix_of",
     # simulation
     "DistributionSpec",
     "ViolationEstimate",

@@ -39,6 +39,12 @@ partition pairs in enumerate_partitions() order that attains it.
 The simulator keeps only the verdict, so ``_FloatVerdict`` evaluates the
 same split-pair rule in float64 and decides every matrix whose float
 maximum is more than 1e-9 from 2; the kernel re-decides the rest.
+
+Every block layout numbers the pairs of n indices in combinations(range(n),
+2) order. Of the six pairs of four indices (``_PAIRS``), pairs s and 5 - s
+are the two halves of split s, and half 0 holds index 0. ``_block_terms``
+builds the numer and denom of every block in this numbering, for the float
+verdict and for the scan's prune table alike.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +70,6 @@ __all__ = [
     "max_abs_chsh",
     "chsh_max_abs_batch",
     "entanglement_proportion",
-    "submatrix_of",
 ]
 
 VIOLATION_BOUND = 2.0
@@ -78,13 +82,8 @@ _CONFIGS = tuple(p for p in permutations(range(4)) if p[0] < p[1])
 N_PARTITIONS_PER_SIDE = len(_CONFIGS)
 N_PARTITION_PAIRS = N_PARTITIONS_PER_SIDE**2
 
-# The three splits of four indices into two ascending pairs ("halves"),
-# in the order their first partition appears in _CONFIGS.
-_SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-# The six pairs of four indices, numbered so that pairs p and p + 3 are the
-# two halves of split p.
-_HALF_PAIRS = tuple(h[0] for h in _SPLITS) + tuple(h[1] for h in _SPLITS)
+# the pair numbering of the module docstring
+_PAIRS = tuple(combinations(range(4), 2))
 
 # A float maximum of |S| within this of 2 is re-decided exactly.
 _FLOAT_BAND = 1e-9
@@ -99,11 +98,15 @@ _DENOMINATOR_LIMIT = 6888
 _SCAN_CHUNK = 4096
 
 
+def _half(split: int, half: int) -> tuple[int, int]:
+    """The pair of four indices that is half ``half`` of split ``split``."""
+    return _PAIRS[5 - split if half else split]
+
+
 def _side_split(config) -> tuple[int, int, int]:
     """(split, half holding the unprimed pair, sign of the primed pair)."""
-    unprimed, primed = config[:2], config[2:]
-    split = next(k for k, halves in enumerate(_SPLITS) if unprimed in halves)
-    return split, _SPLITS[split].index(unprimed), 1 if primed[0] < primed[1] else -1
+    pair = _PAIRS.index(config[:2])
+    return min(pair, 5 - pair), int(pair > 2), 1 if config[2] < config[3] else -1
 
 
 def _split_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +133,8 @@ def _split_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _SPLIT_PARTITIONS, _SPLIT_SIGNS = _split_tables()
 # (row, column) index pairs of block b of split pair j at [b, j]: (4, 9, 2)
-_BLOCK_ROWS = np.array([[_SPLITS[j // 3][b // 2] for j in range(9)] for b in range(4)])
-_BLOCK_COLS = np.array([[_SPLITS[j % 3][b % 2] for j in range(9)] for b in range(4)])
+_BLOCK_ROWS = np.array([[_half(j // 3, b // 2) for j in range(9)] for b in range(4)])
+_BLOCK_COLS = np.array([[_half(j % 3, b % 2) for j in range(9)] for b in range(4)])
 
 
 @dataclass(frozen=True)
@@ -151,19 +154,6 @@ class Partition:
             raise ValueError(
                 f"partition must use indices 0..3 exactly once: {self.unprimed} {self.primed}"
             )
-
-    @property
-    def is_canonical(self) -> bool:
-        """True for the flip-class representative kept by enumeration."""
-        return self.unprimed[0] < self.unprimed[1]
-
-    def flipped(self) -> "Partition":
-        """Swap both outcome labels; the CHSH statistic negates."""
-        return Partition(
-            side=self.side,
-            unprimed=(self.unprimed[1], self.unprimed[0]),
-            primed=(self.primed[1], self.primed[0]),
-        )
 
 
 @dataclass(frozen=True)
@@ -344,6 +334,21 @@ def chsh_max_abs_batch(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.abs(signed), argmax, n_skipped
 
 
+def _block_terms(f, total, diff, numer, denom) -> None:
+    """numer and denom of every (row pair, column pair) block of counts f.
+
+    f is (rows, columns, ...). Into the caller's buffers go the row-pair sums
+    and differences, (row pairs, columns, ...), then numer = f11 + f22 - f12
+    - f21 and denom = f11 + f12 + f21 + f22, (row pairs, column pairs, ...).
+    """
+    for p, (r1, r2) in enumerate(combinations(range(f.shape[0]), 2)):
+        np.add(f[r1], f[r2], out=total[p])
+        np.subtract(f[r1], f[r2], out=diff[p])
+    for q, (c1, c2) in enumerate(combinations(range(f.shape[1]), 2)):
+        np.subtract(diff[:, c1], diff[:, c2], out=numer[:, q])
+        np.add(total[:, c1], total[:, c2], out=denom[:, q])
+
+
 class _FloatVerdict:
     """Float verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
 
@@ -356,18 +361,17 @@ class _FloatVerdict:
     sampling run with no temporaries larger than its two results; an
     instance must not be shared between threads.
 
-    The six row pairs are numbered so that pair p and pair p + 3 are the
-    two halves of split p (_SPLITS order), and column pairs alike. From the
-    row-pair sums and differences of each column come the numer and denom
-    of all 36 (row pair, column pair) blocks and x = numer / denom. For
-    split pair (p, q), sum|x| and min|x| over its four blocks take two
-    gathers each (halves p and p + 3 of the rows, then of the columns), the
-    parity of its negative x is an XOR of sign bits, and its best |S| is
-    sum|x| - 2 min|x| when that parity is even and sum|x| otherwise, the
-    rule ``_split_kernel`` applies on integers. An empty block gives
-    x = 0/0 = NaN, so its split pair is NaN, and the maximum over the nine
-    split pairs is taken with fmax, which never picks NaN: a matrix whose
-    split pairs are all skipped is neither violated nor close.
+    ``_block_terms`` gives the numer and denom of all 36 (row pair, column
+    pair) blocks, pairs numbered as in the module docstring, and x = numer /
+    denom. For split pair (s, t), sum|x| and min|x| over its four blocks
+    take two slices each (halves s and 5 - s are [:3] and [:2:-1], of the
+    rows, then of the columns), the parity of its negative x is an XOR of
+    sign bits, and its best |S| is sum|x| - 2 min|x| when that parity is
+    even and sum|x| otherwise, the rule ``_split_kernel`` applies on
+    integers. An empty block gives x = 0/0 = NaN, so its split pair is NaN,
+    and the maximum over the nine split pairs is taken with fmax, which
+    never picks NaN: a matrix whose split pairs are all skipped is neither
+    violated nor close.
 
     Why a verdict outside the band is exact:
 
@@ -387,42 +391,32 @@ class _FloatVerdict:
 
     def __init__(self, capacity: int):
         self._counts = np.empty((4, 4, capacity))
-        self._sum = np.empty((6, 4, capacity))
-        self._diff = np.empty((6, 4, capacity))
-        self._x = np.empty((6, 6, capacity))  # numer, then x
-        self._abs = np.empty((6, 6, capacity))  # denom, then |x|
+        self._sums = np.empty((2, 6, 4, capacity))  # row-pair sums, differences
+        self._blocks = np.empty((2, 6, 6, capacity))  # numer then x, denom then |x|
         self._negative = np.empty((6, 6, capacity), dtype=bool)
-        self._halves = np.empty((3, 6, capacity))
-        self._low = np.empty((3, 6, capacity))
+        self._halves = np.empty((2, 3, 6, capacity))  # sum and min of two halves
         self._odd = np.empty((3, 6, capacity), dtype=bool)
 
     def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(counts)
         f = self._counts[..., :n]
         f[...] = counts.transpose(1, 2, 0)
-        total, diff = self._sum[..., :n], self._diff[..., :n]
-        for p, (r1, r2) in enumerate(_HALF_PAIRS):
-            np.add(f[r1], f[r2], out=total[p])
-            np.subtract(f[r1], f[r2], out=diff[p])
-        x, mag = self._x[..., :n], self._abs[..., :n]
-        for q, (c1, c2) in enumerate(_HALF_PAIRS):
-            np.subtract(diff[:, c1], diff[:, c2], out=x[:, q])
-            np.add(total[:, c1], total[:, c2], out=mag[:, q])
+        x, mag = self._blocks[..., :n]
+        _block_terms(f, *self._sums[..., :n], x, mag)
         with np.errstate(invalid="ignore"):
             np.divide(x, mag, out=x)
-        negative = self._negative[..., :n]
-        np.less(x, 0.0, out=negative)
+        negative = np.less(x, 0.0, out=self._negative[..., :n])
         np.abs(x, out=mag)
 
-        # split pair (p, q) of rows and columns lands at [p, q]
-        halves, low, odd = self._halves[..., :n], self._low[..., :n], self._odd[..., :n]
-        np.add(mag[:3], mag[3:], out=halves)
-        np.minimum(mag[:3], mag[3:], out=low)
-        np.not_equal(negative[:3], negative[3:], out=odd)
+        # split pair (s, t) of rows and columns lands at [s, t]
+        (halves, low), odd = self._halves[..., :n], self._odd[..., :n]
+        np.add(mag[:3], mag[:2:-1], out=halves)
+        np.minimum(mag[:3], mag[:2:-1], out=low)
+        np.not_equal(negative[:3], negative[:2:-1], out=odd)
         best, lowest, even = halves[:, :3], low[:, :3], odd[:, :3]
-        np.add(best, halves[:, 3:], out=best)
-        np.minimum(lowest, low[:, 3:], out=lowest)
-        np.equal(even, odd[:, 3:], out=even)
+        np.add(best, halves[:, :2:-1], out=best)
+        np.minimum(lowest, low[:, :2:-1], out=lowest)
+        np.equal(even, odd[:, :2:-1], out=even)
         # multiplying by the mask, not subtract(where=even), keeps the loop
         # free of branches on random parities
         lowest *= even
@@ -455,45 +449,16 @@ def max_abs_chsh(matrix: SubMatrix) -> ChshEvaluation:
     )
 
 
-def submatrix_of(
-    matrix: CoocMatrix, row_indices: Sequence[int], col_indices: Sequence[int]
-) -> SubMatrix:
-    """Extract the labeled 4x4 block at the given concept-term indices."""
-    rows = tuple(matrix.concept_pair.c1[i] for i in row_indices)
-    cols = tuple(matrix.concept_pair.c2[j] for j in col_indices)
-    block = matrix.counts[np.ix_(list(row_indices), list(col_indices))]
-    return SubMatrix(rows=rows, cols=cols, counts=block)
-
-
 def _split_halves(subsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair numbers of the two halves of every (4-subset, split) of range(n).
+    """Numbers of the two halves of every (4-subset, split) of range(n).
 
-    Pairs are numbered in combinations(range(n), 2) order and the three
-    splits of each subset follow _SPLITS; half 0 holds the subset's first
-    index.
+    Pairs of range(n) and the splits of each subset follow the module
+    docstring's numbering; half 0 holds the subset's first index.
     """
-    pair_index = np.zeros((n, n), dtype=np.intp)
-    pairs = np.array(list(combinations(range(n), 2)))
-    pair_index[pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
-    halves = np.array(_SPLITS)  # (split, half, 2)
-    members = subsets[:, halves]  # (subset, split, half, 2)
-    index = pair_index[members[..., 0], members[..., 1]].reshape(-1, 2)
-    return index[:, 0], index[:, 1]
-
-
-def _abs_expectations(counts: np.ndarray) -> np.ndarray:
-    """|E| of every (row pair, column pair) block of a count matrix; -inf if empty."""
-    f = counts.astype(np.float64)
-    rows = np.array(list(combinations(range(f.shape[0]), 2)))
-    cols = np.array(list(combinations(range(f.shape[1]), 2)))
-    r1, r2 = rows[:, 0, None], rows[:, 1, None]
-    c1, c2 = cols[None, :, 0], cols[None, :, 1]
-    f11, f12, f21, f22 = f[r1, c1], f[r1, c2], f[r2, c1], f[r2, c2]
-    denom = f11 + f12 + f21 + f22
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.abs(f11 + f22 - f12 - f21) / denom
-    table[denom == 0] = -np.inf
-    return table
+    members = subsets[:, np.array(_PAIRS)]  # (subset, pair, 2)
+    a, b = members[..., 0], members[..., 1]
+    number = a * (2 * n - a - 1) // 2 + b - a - 1  # position in combinations()
+    return number[:, :3].ravel(), number[:, :2:-1].ravel()
 
 
 def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> ProportionReport:
@@ -508,8 +473,9 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     the 16 partition pairs of a split pair adds its four block expectations
     x with signs of +1 or -1, so none reaches |S| above sum|x|, and a
     subset pair whose nine split pairs all have sum|x| <= 2 cannot violate.
-    The scan takes |x| from one table over (row pair, column pair) blocks
-    and sums it for every split pair of about _SCAN_CHUNK subset pairs at a
+    The scan takes |x| from one table over (row pair, column pair) blocks,
+    built by ``_block_terms`` in the module docstring's pair numbering, and
+    sums it for every split pair of about _SCAN_CHUNK subset pairs at a
     time, so memory stays bounded as k grows. Only subset pairs with some
     split pair above 2 - 1e-9 reach ``_split_kernel``, on their full 4x4
     block, so every verdict, |S|, argmax and tie rule is the kernel's exact
@@ -535,7 +501,12 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     col_subsets = np.array(list(combinations(range(n_cols), 4)))
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
-    table = _abs_expectations(matrix.counts)
+    sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols))
+    numer, denom = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2))
+    _block_terms(matrix.counts.astype(np.float64), *sums, numer, denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.abs(numer) / denom
+    table[denom == 0] = -np.inf
     row_h0, row_h1 = _split_halves(row_subsets, n_rows)
     col_h0, col_h1 = _split_halves(col_subsets, n_cols)
     step = max(1, _SCAN_CHUNK // n_cs)

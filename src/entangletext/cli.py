@@ -132,42 +132,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _run(args) -> str:
+    """Run analyze or simulate; returns the line that reports the result."""
     if args.command == "analyze":
         options = vars(args)
         del options["command"]
-        try:
-            config = RunConfig(**options)
-            reports = run_analyze(config)
-        except CorpusError as exc:
-            print(f"corpus error: {exc}", file=sys.stderr)
-            return 2
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"analyzed {len(reports)} topics -> {config.out_dir}")
-        return 0
+        config = RunConfig(**options)
+        reports = run_analyze(config)
+        return f"analyzed {len(reports)} topics -> {config.out_dir}"
+    grids = {"zipf": args.lambda_grid, "poisson": args.mu_grid}
+    for kind, flag in (("zipf", "--lambda-grid"), ("poisson", "--mu-grid")):
+        if grids[kind] is not None and args.kind != kind:
+            raise ValueError(f"{flag} applies only to --kind {kind}")
+    curves = run_simulate(
+        args.kind, grids.get(args.kind), args.bounds, args.samples, args.seed, args.out
+    )
+    return f"wrote {len(curves.estimates)} grid points -> {args.out}"
 
-    if args.command == "simulate":
-        grids = {"zipf": args.lambda_grid, "poisson": args.mu_grid}
-        try:
-            for kind, flag in (("zipf", "--lambda-grid"), ("poisson", "--mu-grid")):
-                if grids[kind] is not None and args.kind != kind:
-                    raise ValueError(f"{flag} applies only to --kind {kind}")
-            curves = run_simulate(
-                args.kind, grids.get(args.kind), args.bounds, args.samples, args.seed, args.out
-            )
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {len(curves.estimates)} grid points -> {args.out}")
-        return 0
 
-    results = run_selftest()
-    return 0 if all(r.passed for r in results) else 3
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.command == "selftest":
+        results = run_selftest()
+        return 0 if all(r.passed for r in results) else 3
+    try:
+        summary = _run(args)
+    except CorpusError as exc:
+        print(f"corpus error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's MemoryError names the failed allocation; Python's own is blank
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

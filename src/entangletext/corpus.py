@@ -11,6 +11,7 @@ kept so no terms are dropped.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -35,6 +36,22 @@ __all__ = [
     "load_topic_corpus",
     "bundled_corpus_path",
 ]
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; ValueError naming ``what`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _window_size(value) -> int:
+    """value as a window size: an integer from 1 to the largest numpy index."""
+    size, largest = _integer(value, "window size"), int(np.iinfo(np.intp).max)
+    if not 1 <= size <= largest:
+        raise ValueError(f"window size must be from 1 to {largest}, got {size}")
+    return size
 
 
 class CorpusError(Exception):
@@ -215,8 +232,7 @@ class TopicCorpus:
         A document of n terms gives ceil(n / window_size) windows; position
         i of a document lies in its window i // window_size.
         """
-        if window_size < 1:
-            raise ValueError(f"window size must be >= 1, got {window_size}")
+        window_size = _window_size(window_size)
         lengths = np.array([len(d) for d in self.documents], dtype=np.intp)
         per_doc = -(-lengths // window_size)
         doc_start = np.cumsum(lengths) - lengths

@@ -28,6 +28,8 @@ from .cooccurrence import (
 )
 from .corpus import (
     PipelineConfig,
+    _integer,
+    _window_size,
     default_stoplist,
     load_stoplist,
     load_topic_corpus,
@@ -63,12 +65,12 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "manifest", Path(self.manifest))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
+        object.__setattr__(self, "window_sizes", tuple(map(_window_size, self.window_sizes)))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("concept_size", "top_violations"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name.replace("_", " ")))
         if not self.window_sizes or len(set(self.window_sizes)) != len(self.window_sizes):
             raise ValueError("window sizes must be non-empty and distinct")
-        if any(w < 1 for w in self.window_sizes):
-            raise ValueError("window sizes must be positive")
         unknown = [m for m in self.methods if m not in DEFAULT_METHODS]
         if unknown or not self.methods:
             raise ValueError(f"unknown relevance methods: {unknown}")

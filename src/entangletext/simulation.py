@@ -219,6 +219,8 @@ def parameter_sweep(
     bounds = list(bounds)
     if not bounds:
         raise ValueError("at least one support bound is required")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind == "homogeneous":
         grid = [(None, b) for b in bounds]
     elif parameters is None and kind == "poisson":

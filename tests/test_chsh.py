@@ -23,7 +23,6 @@ from entangletext import (
     enumerate_partitions,
     expected_value,
     max_abs_chsh,
-    submatrix_of,
 )
 from entangletext import chsh
 
@@ -40,6 +39,15 @@ LABELS4 = ("w", "x", "y", "z")
 
 def _sub(counts):
     return SubMatrix(rows=LABELS4, cols=LABELS4, counts=np.asarray(counts))
+
+
+def _flip(partition):
+    # both outcome labels swapped: the same measurements, S negated
+    return Partition(
+        side=partition.side,
+        unprimed=partition.unprimed[::-1],
+        primed=partition.primed[::-1],
+    )
 
 
 def large_small_matrix(large=100, small=1):
@@ -104,16 +112,18 @@ class TestPartitions:
 
     def test_canonical_form(self):
         for partition in canonical_partitions("rows"):
-            assert partition.is_canonical
-            assert not partition.flipped().is_canonical
+            flipped = _flip(partition)
+            assert partition.unprimed[0] < partition.unprimed[1]
+            assert not flipped.unprimed[0] < flipped.unprimed[1]
 
     def test_canonical_set_covers_all_orderings_up_to_flip(self):
         # every one of the 24 orderings is a canonical partition or its flip
         seen = set()
         for p in permutations(range(4)):
             partition = Partition(side="rows", unprimed=(p[0], p[1]), primed=(p[2], p[3]))
-            canonical = partition if partition.is_canonical else partition.flipped()
-            seen.add((canonical.unprimed, canonical.primed))
+            if partition.unprimed[0] > partition.unprimed[1]:
+                partition = _flip(partition)
+            seen.add((partition.unprimed, partition.primed))
         assert len(seen) == 12
         assert seen == {
             (p.unprimed, p.primed) for p in canonical_partitions("rows")
@@ -156,7 +166,7 @@ class TestChshStatistic:
         matrix = _sub(rng.integers(0, 15, size=(4, 4)))
         for row_p, col_p in enumerate_partitions():
             s = chsh_statistic(matrix, row_p, col_p)
-            flipped_rows = chsh_statistic(matrix, row_p.flipped(), col_p)
+            flipped_rows = chsh_statistic(matrix, _flip(row_p), col_p)
             if s is None:
                 assert flipped_rows is None
             else:
@@ -483,6 +493,77 @@ class TestFloatVerdict:
             assert np.array_equal(got, np.concatenate(want))
 
 
+def _four_cell_terms(f):
+    """numer and denom of every (row pair, column pair) block, pairs in
+    combinations() order, straight from the four cells."""
+    rows = list(combinations(range(f.shape[0]), 2))
+    cols = list(combinations(range(f.shape[1]), 2))
+    cells = [[(f[r1, c1], f[r1, c2], f[r2, c1], f[r2, c2]) for c1, c2 in cols] for r1, r2 in rows]
+    numer = np.array([[f11 + f22 - f12 - f21 for f11, f12, f21, f22 in row] for row in cells])
+    denom = np.array([[f11 + f12 + f21 + f22 for f11, f12, f21, f22 in row] for row in cells])
+    return numer, denom
+
+
+def _built_terms(f):
+    """chsh._block_terms on fresh buffers of f's dtype."""
+    n_rows, n_cols = len(f), f.shape[1]
+    total, diff = np.empty((2, n_rows * (n_rows - 1) // 2, *f.shape[1:]), dtype=f.dtype)
+    shape = (len(total), n_cols * (n_cols - 1) // 2, *f.shape[2:])
+    numer, denom = np.empty((2, *shape), dtype=f.dtype)
+    chsh._block_terms(f, total, diff, numer, denom)
+    return numer, denom
+
+
+def _split_of_four(split):
+    """Halves 0 and 1 of split s of four indices: index 0 with index s + 1, then the rest."""
+    first = (0, split + 1)
+    return first, tuple(i for i in range(4) if i not in first)
+
+
+@st.composite
+def _counts_with_zero_lines(draw, shape):
+    f = np.array(draw(st.lists(st.integers(0, 10**6), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))).reshape(shape)
+    f[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))] = 0
+    f[:, draw(st.lists(st.integers(0, shape[1] - 1), max_size=shape[1]))] = 0
+    return f.astype(draw(st.sampled_from([np.int64, np.float64])))
+
+
+class TestBlockLayout:
+    """The one pair numbering, as the scan, the float verdict and the kernel use it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12), m=st.integers(2, 12))
+    def test_block_terms_match_the_four_cells(self, data, n, m):
+        f = data.draw(_counts_with_zero_lines((n, m)))
+        for got, want in zip(_built_terms(f), _four_cell_terms(f)):
+            assert got.dtype == f.dtype and np.array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8))
+    def test_block_terms_of_a_batch_match_the_four_cells(self, data, k):
+        f = data.draw(_counts_with_zero_lines((4, 4, k)))
+        for got, want in zip(_built_terms(f), _four_cell_terms(f)):
+            assert got.shape == (6, 6, k) and np.array_equal(got, want)
+
+    def test_split_halves_are_numbered_in_combinations_order(self):
+        for n in range(4, 21):
+            position = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+            subsets = np.array(list(combinations(range(n), 4)))
+            want = [
+                [position[tuple(int(subset[i]) for i in half)] for half in _split_of_four(split)]
+                for subset in subsets
+                for split in range(3)
+            ]
+            assert np.array_equal(np.stack(chsh._split_halves(subsets, n), axis=1), want)
+
+    def test_block_gathers_follow_the_splits(self):
+        for j in range(9):
+            for b in range(4):
+                assert tuple(chsh._BLOCK_ROWS[b, j]) == _split_of_four(j // 3)[b // 2]
+                assert tuple(chsh._BLOCK_COLS[b, j]) == _split_of_four(j % 3)[b % 2]
+
+
 def _cooc_from_counts(counts, method="frequency"):
     n1, n2 = counts.shape
     pair = ConceptPair(
@@ -547,7 +628,7 @@ class TestEntanglementProportion:
         matrix = _cooc_from_counts(counts)
         report = entanglement_proportion(matrix, top_details=5)
         # the pure pattern block must violate
-        block = submatrix_of(matrix, (0, 1, 2, 3), (0, 1, 2, 3))
+        block = _sub(matrix.counts[np.ix_([0, 1, 2, 3], [0, 1, 2, 3])])
         assert max_abs_chsh(block).violated
         assert report.n_pairs_entangled >= 1
         assert report.details
@@ -593,11 +674,11 @@ class TestEntanglementProportion:
         for detail in report.details:
             rows = tuple(pair.c1.index(t) for t in detail.row_terms)
             cols = tuple(pair.c2.index(t) for t in detail.col_terms)
-            evaluation = max_abs_chsh(submatrix_of(matrix, rows, cols))
+            evaluation = max_abs_chsh(_sub(matrix.counts[np.ix_(rows, cols)]))
             assert evaluation.violated
             assert abs(detail.s) == pytest.approx(evaluation.max_abs_s, abs=1e-12)
             s_at_argmax = chsh_statistic(
-                submatrix_of(matrix, rows, cols),
+                _sub(matrix.counts[np.ix_(rows, cols)]),
                 detail.row_partition,
                 detail.col_partition,
             )

@@ -117,6 +117,16 @@ class TestSegmentWindows:
         with pytest.raises(ValueError):
             _one_document_topic(1).windows(0)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, "3", 2**63, 10**23], ids=repr)
+    def test_window_size_not_an_index_rejected(self, size):
+        with pytest.raises(ValueError, match="window size"):
+            _one_document_topic(10).windows(size)
+
+    def test_numpy_integer_window_size(self):
+        windows = _one_document_topic(45).windows(np.int32(20))
+        assert windows.window_size == 20 and type(windows.window_size) is int
+        assert windows.window_of.tolist() == [i // 20 for i in range(45)]
+
     @settings(max_examples=100, deadline=None)
     @given(
         n_terms=st.integers(min_value=0, max_value=300),

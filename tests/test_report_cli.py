@@ -10,6 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,18 @@ class TestRunAnalyze:
             RunConfig(manifest="m", out_dir=tmp_path, methods=("pagerank",))
         with pytest.raises(ValueError, match="distinct"):
             RunConfig(manifest="m", out_dir=tmp_path, methods=("tfidf", "tfidf"))
+        for field, value in [
+            ("concept_size", 4.5),
+            ("window_sizes", (5.5,)),
+            ("window_sizes", (2**63,)),
+            ("top_violations", 2.0),
+        ]:
+            with pytest.raises(ValueError, match=field.split("_")[0]):
+                RunConfig(manifest="m", out_dir=tmp_path, **{field: value})
+        config = RunConfig(
+            manifest="m", out_dir=tmp_path, window_sizes=(np.int64(5),), concept_size=np.int32(6)
+        )
+        assert config.window_sizes == (5,) and config.concept_size == 6
 
 
 class TestRunSimulate:
@@ -284,6 +297,7 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     def test_out_under_a_file_rejected_before_work(self, command, tmp_path, capsys, monkeypatch):
@@ -308,9 +322,11 @@ class TestCli:
             ["--k", "3"],
             ["--top-violations", "-1"],
             ["--window", "0"],
+            ["--window", "100000000000000000000000"],
             ["--relevance", "frequency", "--relevance", "frequency"],
         ],
-        ids=["k1", "k3", "top-violations-negative", "window0", "relevance-repeated"],
+        ids=["k1", "k3", "top-violations-negative", "window0", "window-above-intp",
+             "relevance-repeated"],
     )
     def test_bad_analyze_value_rejected_before_work(self, flags, tmp_path, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -322,19 +338,43 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--B", "10,50,0"], ["--kind", "poisson", "--mu-grid", "0:2:1", "--B", "10"]],
-        ids=["bound-late", "mu-nonpositive"],
+        "flags, named",
+        [
+            (["--B", "10,50,0"], "bound"),
+            (["--kind", "poisson", "--mu-grid", "0:2:1", "--B", "10"], "mean"),
+            (["--seed", "-1"], "seed"),
+        ],
+        ids=["bound-late", "mu-nonpositive", "seed-negative"],
     )
-    def test_bad_sweep_point_rejected_before_sampling(self, flags, tmp_path, capsys, monkeypatch):
+    def test_bad_sweep_point_rejected_before_sampling(
+        self, flags, named, tmp_path, capsys, monkeypatch
+    ):
         def must_not_run(*args, **kwargs):
             raise AssertionError("a point was sampled before the grid was checked")
 
         monkeypatch.setattr(simulation, "estimate_violation_probability", must_not_run)
         out = tmp_path / "c.csv"
         argv = ["simulate", *flags, "--samples", "10000", "--out", str(out)]
-        self._assert_one_line_error(main(argv), capsys)
+        assert named in self._assert_one_line_error(main(argv), capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_out_of_memory_exit_1(self, command, tmp_path, capsys, monkeypatch):
+        # numpy's MemoryError names the allocation; Python's own is blank
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB" if command == "simulate" else "")
+
+        monkeypatch.setattr(simulation, "distribution_pmf", no_memory)
+        monkeypatch.setattr(report, "entanglement_proportion", no_memory)
+        out = tmp_path / "o"
+        if command == "analyze":
+            argv = ["analyze", str(bundled_corpus_path()), "--out", str(out), "--window", "20"]
+        else:
+            argv = ["simulate", "--kind", "homogeneous", "--B", "3000000000", "--samples", "10",
+                    "--out", str(out / "c.csv")]
+        err = self._assert_one_line_error(main(argv), capsys)
+        assert "out of memory" in err
+        assert not (out / "c.csv").exists()
 
     @pytest.mark.parametrize(
         "flags",
