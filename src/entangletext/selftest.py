@@ -1,16 +1,18 @@
 """Built-in verification suite runnable from the CLI.
 
-Four checks with embedded, independently coded oracles: exact-rational
+Five checks with embedded, independently coded oracles: exact-rational
 block expectations, the alternating large/small matrix whose best
 partition reaches 4 * 198/202, equivalence of the canonical 144-partition
-scan with the full 24 x 24 row/column ordering scan, and sampling-pmf
-normalization. The large/small and ordering checks also hold
-``chsh_max_abs_batch``, the exact kernel behind every verdict, and the
-float verdict that decides the clear ``simulate`` matrices to the exact
-ordering scan; a matrix the float verdict calls close must lie within
-1e-9 of |S| = 2, where the exact kernel decides it. The partition table
-used by the canonical side is injectable so a corrupted table is
-detectable (negative control in the test suite).
+scan with the full 24 x 24 row/column ordering scan, sampling-pmf
+normalization, and the simulator's guide-table draw held to
+``searchsorted`` on keys at bucket edges and cdf steps. The large/small
+and ordering checks also hold ``chsh_max_abs_batch``, the exact kernel
+behind every verdict, and the float verdict that decides the clear
+``simulate`` matrices to the exact ordering scan; a matrix the float
+verdict calls close must lie within 1e-9 of |S| = 2, where the exact
+kernel decides it. The partition table used by the canonical side is
+injectable so a corrupted table is detectable (negative control in the
+test suite).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .chsh import SubMatrix, canonical_partitions, chsh_statistic, enumerate_partitions
 from .chsh import _FloatVerdict, chsh_max_abs_batch, expected_value
 from .simulation import DistributionSpec, distribution_pmf
+from .simulation import _guide_buckets, _InverseCdfDraw
 
 __all__ = ["CheckResult", "run_selftest"]
 
@@ -171,16 +174,18 @@ def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
     )
 
 
+_SAMPLING_SPECS = (
+    DistributionSpec.zipf(0.7, 100),
+    DistributionSpec.zipf(2.0, 500),
+    DistributionSpec.homogeneous(64),
+    DistributionSpec.poisson(10.0, 100),
+    DistributionSpec.poisson(1.0, 5),
+)
+
+
 def _check_pmf_normalization() -> CheckResult:
-    specs = [
-        DistributionSpec.zipf(0.7, 100),
-        DistributionSpec.zipf(2.0, 500),
-        DistributionSpec.homogeneous(64),
-        DistributionSpec.poisson(10.0, 100),
-        DistributionSpec.poisson(1.0, 5),
-    ]
     worst = 0.0
-    for spec in specs:
+    for spec in _SAMPLING_SPECS:
         pmf = distribution_pmf(spec)
         if (pmf < 0).any():
             return CheckResult("pmf normalization", False, f"negative mass for {spec.kind}")
@@ -189,6 +194,26 @@ def _check_pmf_normalization() -> CheckResult:
     if b1.shape != (1,) or b1[0] != 1.0:
         return CheckResult("pmf normalization", False, "B=1 must be a point mass")
     return CheckResult("pmf normalization", worst <= 1e-12, f"max |sum - 1| = {worst:.2e}")
+
+
+def _check_inverse_cdf_draw() -> CheckResult:
+    n_keys = 0
+    for spec in _SAMPLING_SPECS:
+        cdf = np.cumsum(distribution_pmf(spec))
+        k = _guide_buckets(len(cdf))
+        # every bucket edge (0 and 1 among them), each cdf value and its neighbours
+        keys = np.concatenate(
+            [np.arange(k + 1) / k, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)]
+        )
+        want = np.minimum(np.searchsorted(cdf, keys, side="right") + 1, len(cdf))
+        if not np.array_equal(_InverseCdfDraw(cdf, keys.size)(keys), want):
+            return CheckResult(
+                "inverse-CDF draw", False, f"differs from searchsorted for {spec.kind}"
+            )
+        n_keys += keys.size
+    return CheckResult(
+        "inverse-CDF draw", True, f"{n_keys} edge keys over {len(_SAMPLING_SPECS)} pmfs"
+    )
 
 
 def run_selftest(partition_pairs=None, stream=None) -> list[CheckResult]:
@@ -206,6 +231,7 @@ def run_selftest(partition_pairs=None, stream=None) -> list[CheckResult]:
         _check_large_small(partition_pairs),
         _check_ordering_equivalence(partition_pairs, rng),
         _check_pmf_normalization(),
+        _check_inverse_cdf_draw(),
     ]
     width = max(len(r.name) for r in results)
     for r in results:

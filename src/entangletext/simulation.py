@@ -3,12 +3,18 @@
 Entries of a 4x4 matrix are drawn i.i.d. from a distribution over
 {1, ..., B} (bounded Zipfian, homogeneous, or truncated Poisson) via
 inverse-CDF sampling, and the fraction of matrices admitting a violating
-partition is estimated. Matrices are sampled and decided in chunks: a
-float verdict (``chsh._FloatVerdict``) decides every matrix whose float
-maximum of |S| lies more than 1e-9 from 2, where its rounding error
-cannot change the answer, and only the matrices inside that band go
-through the exact ``chsh_max_abs_batch``, so every count is exact. The
-uniforms and the verdict's buffers are allocated once per estimate and
+partition is estimated. The draw gives ``searchsorted(cdf, u) + 1``,
+clipped to B, for every uniform key u, through a guide table
+(``_InverseCdfDraw``): K is a power of two, so floor(u * K) is the key's
+exact bucket, the bucket edges are decided by the same ``searchsorted``,
+and only keys in buckets that straddle a cdf step fall back to it.
+
+Matrices are sampled and decided in chunks: a float verdict
+(``chsh._FloatVerdict``) decides every matrix whose float maximum of |S|
+lies more than 1e-9 from 2, where its rounding error cannot change the
+answer, and only the matrices inside that band go through the exact
+``chsh_max_abs_batch``, so every count is exact. The buffers of the
+uniforms, the draw and the verdict are allocated once per estimate and
 reused by every chunk.
 
 All randomness flows through numpy Generators seeded explicitly, so
@@ -22,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,15 +49,25 @@ __all__ = [
     "curves_to_csv",
 ]
 
-# Matrices per sampling chunk; the reused buffers take about 1.5 KB per
-# matrix. On the default 80-point figure sweep with one thread (2 vCPUs),
-# chunks of 1,024 to 8,192 ran within noise of each other (0.55-0.67 s)
-# and 512 about 5% slower, while peak RSS was 44 MB at 2,048 and rose to
-# 52 and 64 MB at 4,096 and 8,192.
+# Matrices per sampling chunk; the reused buffers take about 1.8 KB per
+# matrix. On the default 80-point figure sweep (2 vCPUs, median of 5
+# alternating fresh-interpreter runs), 2,048 took 0.48 s on two threads
+# against 0.67, 0.53 and 0.59 s for 1,024, 4,096 and 8,192, with peak RSS
+# 41, 45, 52 and 66 MB for the four sizes; on one thread 1,024 to 4,096
+# ran within noise (0.78-0.83 s) and 8,192 took 1.01 s.
 _SAMPLE_CHUNK = 2048
 
 # the zipf grid of the paper's figure: 0.1, 0.2, ..., 2.0
 DEFAULT_EXPONENTS = tuple(round(0.1 * i, 10) for i in range(1, 21))
+
+
+def _caller_stacklevel() -> int:
+    """Warning stack level, for ``__post_init__``, of the first caller above
+    the dataclass-generated ``__init__`` that is not in this module."""
+    frame, level = sys._getframe(3), 3
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,7 @@ class DistributionSpec:
             if self.exponent == 0:
                 warnings.warn(
                     "zipf exponent 0 degenerates to the homogeneous distribution",
-                    stacklevel=2,
+                    stacklevel=_caller_stacklevel(),
                 )
         if self.kind == "poisson" and (self.poisson_mean is None or self.poisson_mean <= 0):
             raise ValueError("poisson requires a positive mean")
@@ -131,10 +148,50 @@ def distribution_pmf(spec: DistributionSpec) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _inverse_cdf_draw(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    values = np.searchsorted(cdf, uniforms, side="right")
-    values += 1
-    return np.minimum(values, len(cdf), out=values)
+def _guide_buckets(n_values: int) -> int:
+    """Buckets of the guide table: the smallest power of two >= 32 per value,
+    kept between 2**10 and 2**16."""
+    return min(max(1 << (32 * n_values - 1).bit_length(), 1 << 10), 1 << 16)
+
+
+class _InverseCdfDraw:
+    """Values 1..B drawn from ``cdf`` for up to ``capacity`` uniform keys.
+
+    Each key u in [0, 1] gets ``min(searchsorted(cdf, u, side="right") + 1,
+    B)`` through a guide table of K + 1 buckets, bucket j holding
+    [j/K, (j+1)/K). K is a power of two, so u * K is exact and floor(u * K)
+    is the key's bucket. The table holds ``searchsorted`` of every bucket
+    edge; since ``searchsorted`` is monotone, a bucket whose two edges map
+    to one index maps every key inside it there, so one gather draws those
+    keys. Keys in buckets that straddle a cdf step go through
+    ``searchsorted`` itself. Each call writes into buffers allocated here
+    and returns a view of them.
+    """
+
+    def __init__(self, cdf: np.ndarray, capacity: int):
+        self._cdf = cdf
+        self._k = _guide_buckets(len(cdf))
+        lo = np.searchsorted(cdf, np.arange(self._k + 2) / self._k, side="right")
+        self._values = np.minimum(lo[:-1] + 1, len(cdf))
+        self._straddles = lo[:-1] != lo[1:]
+        self._bucket = np.empty(capacity, dtype=np.intp)
+        self._out = np.empty(capacity, dtype=np.intp)
+        self._straddling = np.empty(capacity, dtype=bool)
+
+    def __call__(self, uniforms: np.ndarray) -> np.ndarray:
+        keys = uniforms.reshape(-1)
+        n = keys.size
+        bucket = np.multiply(keys, self._k, out=self._bucket[:n], casting="unsafe")
+        # "clip" avoids the buffered bounds check of "raise"; it sends any key
+        # past the table to bucket K, which is exact for every u >= 1
+        out = np.take(self._values, bucket, out=self._out[:n], mode="clip")
+        straddling = np.take(self._straddles, bucket, out=self._straddling[:n], mode="clip")
+        fallback = np.flatnonzero(straddling)
+        if fallback.size:
+            exact = np.searchsorted(self._cdf, keys[fallback], side="right")
+            exact += 1
+            out[fallback] = np.minimum(exact, len(self._cdf), out=exact)
+        return out.reshape(uniforms.shape)
 
 
 def estimate_violation_probability(
@@ -153,12 +210,13 @@ def estimate_violation_probability(
     cdf = np.cumsum(distribution_pmf(spec))
     chunk = min(n_samples, _SAMPLE_CHUNK)
     uniforms = np.empty((chunk, 4, 4))
+    draw = _InverseCdfDraw(cdf, uniforms.size)
     verdict = _FloatVerdict(chunk)
     n_violations = 0
     remaining = n_samples
     while remaining > 0:
         take = min(remaining, chunk)
-        draws = _inverse_cdf_draw(cdf, rng.random(out=uniforms[:take]))
+        draws = draw(rng.random(out=uniforms[:take]))
         violated, close = verdict(draws)
         n_violations += int(violated.sum())
         if close.any():

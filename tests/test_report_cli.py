@@ -535,7 +535,7 @@ class TestCli:
     def test_selftest_cli(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -544,7 +544,7 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
-        assert proc.stdout.count("PASS") == 4
+        assert proc.stdout.count("PASS") == 5
 
     def test_bad_grid_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,16 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from entangletext import chsh, enumerate_partitions, run_selftest, selftest
+from entangletext import chsh, enumerate_partitions, run_selftest, selftest, simulation
 from entangletext.cli import main
 
 
 def test_pristine_build_passes():
     stream = io.StringIO()
     results = run_selftest(stream=stream)
-    assert [r.passed for r in results] == [True] * 4
+    assert [r.passed for r in results] == [True] * 5
+    assert results[-1].name == "inverse-CDF draw"
     lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -67,3 +68,17 @@ def test_wrong_float_verdict_fails(violated, close, monkeypatch):
     assert not by_name["large/small pattern"].passed
     assert not by_name["ordering equivalence"].passed
     assert "float verdict" in by_name["ordering equivalence"].detail
+
+
+def test_inexact_inverse_cdf_draw_fails(monkeypatch):
+    # a draw that never falls back to searchsorted misplaces keys in
+    # buckets that straddle a cdf step
+    class TableOnly(simulation._InverseCdfDraw):
+        def __init__(self, cdf, capacity):
+            super().__init__(cdf, capacity)
+            self._straddles[:] = False
+
+    monkeypatch.setattr(selftest, "_InverseCdfDraw", TableOnly)
+    by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
+    assert not by_name["inverse-CDF draw"].passed
+    assert "searchsorted" in by_name["inverse-CDF draw"].detail

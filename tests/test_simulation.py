@@ -14,7 +14,7 @@ from entangletext import (
     estimate_violation_probability,
     parameter_sweep,
 )
-from entangletext.simulation import _inverse_cdf_draw
+from entangletext.simulation import _guide_buckets, _InverseCdfDraw
 
 
 class TestDistributionSpec:
@@ -27,8 +27,9 @@ class TestDistributionSpec:
             DistributionSpec.zipf(-0.5, 10)
 
     def test_zero_exponent_warns_and_degenerates(self):
-        with pytest.warns(UserWarning, match="homogeneous"):
+        with pytest.warns(UserWarning, match="homogeneous") as record:
             spec = DistributionSpec.zipf(0.0, 5)
+        assert record[0].filename == __file__  # the caller, not the generated __init__
         assert np.allclose(distribution_pmf(spec), 0.2)
 
     def test_poisson_requires_positive_mean(self):
@@ -78,6 +79,11 @@ class TestPmf:
         assert (np.diff(pmf) < 0).all()
 
 
+def _inverse_cdf_draw(cdf, uniforms):
+    """The guide-table draw, on keys of any shape."""
+    return _InverseCdfDraw(cdf, uniforms.size)(uniforms)
+
+
 def _draw(spec, rng, shape=(4, 4)):
     """Entries drawn as estimate_violation_probability draws them."""
     return _inverse_cdf_draw(np.cumsum(distribution_pmf(spec)), rng.random(shape))
@@ -102,6 +108,48 @@ class TestSampling:
         cdf = np.array([0.5, 1.0 - 1e-16])
         draws = _inverse_cdf_draw(cdf, np.array([0.0, 0.499, 0.5, 1.0 - 1e-17]))
         assert draws.tolist() == [1, 1, 2, 2]
+
+    def test_guide_buckets(self):
+        # the smallest power of two >= 32 B, kept between 2**10 and 2**16
+        assert [_guide_buckets(b) for b in (1, 10, 100, 500, 5000)] == [
+            1024, 1024, 4096, 16384, 65536
+        ]
+
+    @pytest.mark.parametrize("bound", [1, 10, 500, 5000, 2**18])  # 2**18: most buckets straddle
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: DistributionSpec.zipf(0.1, b),
+            lambda b: DistributionSpec.zipf(1.0, b),
+            lambda b: DistributionSpec.zipf(2.0, b),
+            DistributionSpec.homogeneous,
+            lambda b: DistributionSpec.poisson(b / 10, b),
+        ],
+        ids=["zipf0.1", "zipf1", "zipf2", "homogeneous", "poisson"],
+    )
+    def test_draw_equals_searchsorted_at_edge_keys(self, make, bound):
+        spec = make(bound)
+        cdf = np.cumsum(distribution_pmf(spec))
+        k = _guide_buckets(bound)
+        keys = np.concatenate(
+            [
+                np.arange(k + 1) / k,  # every bucket edge, 1.0 among them
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 2.0),
+                [0.0, 1.0 - 2**-53, 1.0],
+            ]
+        )
+        want = np.minimum(np.searchsorted(cdf, keys, side="right") + 1, bound)
+        assert np.array_equal(_inverse_cdf_draw(cdf, keys), want)
+
+    # a sum that rounds below 1 clips in the searchsorted fallback; one far
+    # below 1 also clips whole buckets of the table
+    @pytest.mark.parametrize("last", [1.0 - 2**-40, 0.75])
+    def test_cdf_ending_below_one_is_clipped(self, last):
+        cdf = np.array([0.25, 0.5, last])
+        keys = np.array([0.0, 0.25, 0.5, last, 0.875, 1.0 - 2**-41, 1.0 - 2**-53, 1.0])
+        assert _inverse_cdf_draw(cdf, keys).tolist() == [1, 2, 3, 3, 3, 3, 3, 3]
 
     def test_empirical_histogram_matches_pmf(self):
         # 3-sigma per-value sanity on 1e5 draws
