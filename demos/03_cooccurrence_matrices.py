@@ -33,7 +33,7 @@ def main():
         for i, term in enumerate(pair.c1):
             row = " ".join(f"{v:>6}" for v in matrix.counts[i])
             print(f"{term[:10]:>10} {row}")
-        print("value histogram:", dict(hist.bins))
+        print("value histogram:", hist)
 
 
 if __name__ == "__main__":

@@ -23,13 +23,7 @@ from .chsh import (
     expected_value,
     max_abs_chsh,
 )
-from .cooccurrence import (
-    CoocMatrix,
-    Histogram,
-    cooccurrence_histogram,
-    count_cooccurrences,
-    matrix_to_csv,
-)
+from .cooccurrence import CoocMatrix, cooccurrence_histogram, count_cooccurrences
 from .corpus import (
     CorpusError,
     PipelineConfig,
@@ -52,7 +46,6 @@ from .relevance import (
     document_frequencies,
     rank_by_frequency,
     rank_by_tfidf,
-    ranking_to_csv,
 )
 from .report import RunConfig, TopicReport, run_analyze, run_simulate
 from .selftest import CheckResult, run_selftest
@@ -60,7 +53,6 @@ from .simulation import (
     CurveSet,
     DistributionSpec,
     ViolationEstimate,
-    curves_to_csv,
     distribution_pmf,
     estimate_violation_probability,
     parameter_sweep,
@@ -89,13 +81,10 @@ __all__ = [
     "rank_by_frequency",
     "rank_by_tfidf",
     "build_concept_pair",
-    "ranking_to_csv",
     # cooccurrence
     "CoocMatrix",
-    "Histogram",
     "count_cooccurrences",
     "cooccurrence_histogram",
-    "matrix_to_csv",
     # chsh
     "Partition",
     "SubMatrix",
@@ -116,7 +105,6 @@ __all__ = [
     "distribution_pmf",
     "estimate_violation_probability",
     "parameter_sweep",
-    "curves_to_csv",
     # report / selftest
     "RunConfig",
     "TopicReport",

@@ -7,6 +7,7 @@ written), 2 corpus error, 3 selftest failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,10 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected start:stop:step, got {text!r}"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(
+            f"grid start, stop and step must be finite, got {text!r}"
+        )
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
     values = []

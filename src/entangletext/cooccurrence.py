@@ -9,23 +9,15 @@ integer addition.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import TopicWindows
 from .relevance import ConceptPair
 
-__all__ = [
-    "CoocMatrix",
-    "Histogram",
-    "count_cooccurrences",
-    "cooccurrence_histogram",
-    "matrix_to_csv",
-]
+__all__ = ["CoocMatrix", "count_cooccurrences", "cooccurrence_histogram"]
 
 
 @dataclass(frozen=True)
@@ -50,18 +42,6 @@ class CoocMatrix:
             raise ValueError("a count exceeds the number of windows scanned")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Tally of matrix entries by co-occurrence value."""
-
-    window_size: int
-    topic_id: str
-    bins: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "bins", dict(self.bins))
 
 
 def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
@@ -95,20 +75,6 @@ def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
     )
 
 
-def cooccurrence_histogram(matrix: CoocMatrix) -> Histogram:
-    """Tally the matrix entries: one bin per distinct value, ascending."""
-    return Histogram(
-        window_size=matrix.window_size,
-        topic_id=matrix.concept_pair.topic_id,
-        bins=dict(sorted(Counter(matrix.counts.ravel().tolist()).items())),
-    )
-
-
-def matrix_to_csv(matrix: CoocMatrix, path: str | Path) -> None:
-    """Write the matrix with c2 terms as header row and c1 terms as row labels."""
-    pair = matrix.concept_pair
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["", *pair.c2])
-        for i, term in enumerate(pair.c1):
-            writer.writerow([term, *matrix.counts[i].tolist()])
+def cooccurrence_histogram(matrix: CoocMatrix) -> dict[int, int]:
+    """Tally the matrix entries: {value: count}, one key per distinct value, ascending."""
+    return dict(sorted(Counter(matrix.counts.ravel().tolist()).items()))

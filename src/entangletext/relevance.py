@@ -10,10 +10,8 @@ top-k terms form one concept, the next k the other.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +26,6 @@ __all__ = [
     "rank_by_frequency",
     "rank_by_tfidf",
     "build_concept_pair",
-    "ranking_to_csv",
 ]
 
 CONCEPT_SIZE = 10
@@ -157,12 +154,3 @@ def build_concept_pair(ranked: RankedTerms, k: int = CONCEPT_SIZE) -> ConceptPai
         method=ranked.method,
         topic_id=ranked.topic_id,
     )
-
-
-def ranking_to_csv(ranked: RankedTerms, path: str | Path) -> None:
-    """Write (term, score, rank) rows, rank starting at 1."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["term", "score", "rank"])
-        for rank, (term, score) in enumerate(ranked.terms, start=1):
-            writer.writerow([term, repr(score), rank])

@@ -6,6 +6,10 @@ pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. Cells
 are independent jobs executed on a thread pool capped by ENTANGLE_THREADS;
 all files are written serially in a deterministic order and carry no
 timestamps, so identical configurations produce bitwise-identical output.
+
+This module is the only one that writes files, and ``_write_csv`` and
+``_write_json`` hold the byte format of every artifact: UTF-8, "\n" line
+ends, floats as ``repr()``, and JSON indented by 1 with a final newline.
 """
 
 from __future__ import annotations
@@ -19,13 +23,7 @@ from typing import Sequence
 
 from . import __version__
 from .chsh import ProportionReport, entanglement_proportion
-from .cooccurrence import (
-    CoocMatrix,
-    Histogram,
-    cooccurrence_histogram,
-    count_cooccurrences,
-    matrix_to_csv,
-)
+from .cooccurrence import CoocMatrix, cooccurrence_histogram, count_cooccurrences
 from .corpus import (
     PipelineConfig,
     _integer,
@@ -40,9 +38,8 @@ from .relevance import (
     document_frequencies,
     rank_by_frequency,
     rank_by_tfidf,
-    ranking_to_csv,
 )
-from .simulation import CurveSet, curves_to_csv, max_workers, parameter_sweep
+from .simulation import CurveSet, max_workers, parameter_sweep
 
 __all__ = ["RunConfig", "TopicReport", "run_analyze", "run_simulate", "max_workers"]
 
@@ -93,7 +90,7 @@ class TopicReport:
     def proportion(self, window_size: int, method: str) -> ProportionReport:
         return self.cells[(window_size, method)][0]
 
-    def histogram(self, window_size: int, method: str) -> Histogram:
+    def histogram(self, window_size: int, method: str) -> dict[int, int]:
         return self.cells[(window_size, method)][1]
 
     def matrix(self, window_size: int, method: str) -> CoocMatrix:
@@ -190,6 +187,22 @@ def _sorted_reports(reports, method: str, config: RunConfig) -> list[TopicReport
     return sorted(reports, key=lambda r: (-r.proportion(smallest, method).p, r.topic_id))
 
 
+def _write_csv(path: Path, header: Sequence, rows) -> None:
+    """Write one CSV artifact. csv writes floats as repr() and None as an
+    empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    """Write one JSON artifact, indented by 1, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
 def _partition_json(partition) -> dict:
     return {"unprimed": list(partition.unprimed), "primed": list(partition.primed)}
 
@@ -200,44 +213,56 @@ def _write_outputs(ordered, pairs, config: RunConfig) -> None:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     for method in config.methods:
-        with open(out / f"summary_{method}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["topic_id", "method", "W", "p", "n_entangled", "n_pairs", "monotone_in_W"]
-            )
-            for report in _sorted_reports(ordered, method, config):
-                monotone = report.monotone_in_window(method, config.window_sizes)
-                for w in config.window_sizes:
-                    prop = report.proportion(w, method)
-                    writer.writerow(
-                        [
-                            report.topic_id,
-                            method,
-                            w,
-                            repr(prop.p),
-                            prop.n_pairs_entangled,
-                            prop.n_pairs_total,
-                            str(monotone).lower(),
-                        ]
-                    )
+        rows = []
+        for report in _sorted_reports(ordered, method, config):
+            monotone = str(report.monotone_in_window(method, config.window_sizes)).lower()
+            for w in config.window_sizes:
+                prop = report.proportion(w, method)
+                rows.append(
+                    [
+                        report.topic_id,
+                        method,
+                        w,
+                        prop.p,
+                        prop.n_pairs_entangled,
+                        prop.n_pairs_total,
+                        monotone,
+                    ]
+                )
+        _write_csv(
+            out / f"summary_{method}.csv",
+            ["topic_id", "method", "W", "p", "n_entangled", "n_pairs", "monotone_in_W"],
+            rows,
+        )
 
-    with open(out / "histograms.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["topic_id", "method", "W", "n", "count"])
-        for method in config.methods:
-            for report in ordered:
-                for w in config.window_sizes:
-                    hist = report.histogram(w, method)
-                    for value, count in hist.bins.items():
-                        writer.writerow([report.topic_id, method, w, value, count])
+    _write_csv(
+        out / "histograms.csv",
+        ["topic_id", "method", "W", "n", "count"],
+        (
+            [report.topic_id, method, w, value, count]
+            for method in config.methods
+            for report in ordered
+            for w in config.window_sizes
+            for value, count in report.histogram(w, method).items()
+        ),
+    )
 
     for report in ordered:
         for method in config.methods:
             ranked, pair = pairs[(report.topic_id, method)]
-            ranking_to_csv(ranked, out / "rankings" / f"{report.topic_id}__{method}.csv")
+            _write_csv(
+                out / "rankings" / f"{report.topic_id}__{method}.csv",
+                ["term", "score", "rank"],
+                ([term, score, rank] for rank, (term, score) in enumerate(ranked.terms, start=1)),
+            )
             for w in config.window_sizes:
                 cell_name = f"{report.topic_id}__{method}__W{w}"
-                matrix_to_csv(report.matrix(w, method), out / "matrices" / f"{cell_name}.csv")
+                counts = report.matrix(w, method).counts
+                _write_csv(
+                    out / "matrices" / f"{cell_name}.csv",
+                    ["", *pair.c2],
+                    ([term, *counts[i].tolist()] for i, term in enumerate(pair.c1)),
+                )
                 prop = report.proportion(w, method)
                 payload = {
                     "topic_id": report.topic_id,
@@ -258,9 +283,7 @@ def _write_outputs(ordered, pairs, config: RunConfig) -> None:
                         for d in (prop.details or ())
                     ],
                 }
-                with open(out / "results" / f"{cell_name}.json", "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=1)
-                    fh.write("\n")
+                _write_json(out / "results" / f"{cell_name}.json", payload)
 
     metadata = {
         "tool": "entangletext",
@@ -273,9 +296,7 @@ def _write_outputs(ordered, pairs, config: RunConfig) -> None:
         "stoplist": str(config.stoplist_path) if config.stoplist_path else "bundled",
         "stemming": config.stemming,
     }
-    with open(out / "run_metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=1)
-        fh.write("\n")
+    _write_json(out / "run_metadata.json", metadata)
 
 
 def run_simulate(
@@ -286,14 +307,34 @@ def run_simulate(
     seed: int,
     out_path: str | Path,
 ) -> CurveSet:
-    """Run a parameter sweep and write the curve CSV plus a metadata sidecar."""
+    """Run a parameter sweep and write the curve CSV plus a metadata sidecar.
+
+    The CSV has one row per grid point; a parameter the kind does not use
+    (mu for zipf, lambda for poisson) is an empty cell.
+    """
     out_path = Path(out_path)
     if out_path.is_dir():
         raise ValueError(f"output path {out_path} is a directory")
     _check_can_be_dir(out_path.parent)
     curves = parameter_sweep(kind, parameters, bounds, n_samples=n_samples, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    curves_to_csv(curves, out_path)
+    _write_csv(
+        out_path,
+        ["kind", "lambda", "mu", "B", "n_samples", "p_hat", "std_err", "seed"],
+        (
+            [
+                est.spec.kind,
+                est.spec.exponent,
+                est.spec.poisson_mean,
+                est.spec.support_bound,
+                est.n_samples,
+                est.p_hat,
+                est.std_err,
+                est.seed,
+            ]
+            for est in curves.estimates
+        ),
+    )
     sidecar = {
         "tool": "entangletext",
         "version": __version__,
@@ -302,8 +343,5 @@ def run_simulate(
         "n_samples": n_samples,
         "seed": seed,
     }
-    meta_path = out_path.with_suffix(out_path.suffix + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
+    _write_json(out_path.with_suffix(out_path.suffix + ".meta.json"), sidecar)
     return curves

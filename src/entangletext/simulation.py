@@ -25,19 +25,18 @@ buffers, so a sweep does not depend on the thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .chsh import VIOLATION_BOUND, _FloatVerdict, chsh_max_abs_batch
+from .corpus import _integer
 
 __all__ = [
     "DistributionSpec",
@@ -46,7 +45,6 @@ __all__ = [
     "distribution_pmf",
     "estimate_violation_probability",
     "parameter_sweep",
-    "curves_to_csv",
 ]
 
 # Matrices per sampling chunk; the reused buffers take about 1.8 KB per
@@ -82,18 +80,24 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in ("zipf", "homogeneous", "poisson"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        object.__setattr__(self, "support_bound", _integer(self.support_bound, "support bound"))
         if self.support_bound < 1:
             raise ValueError(f"support bound must be >= 1, got {self.support_bound}")
         if self.kind == "zipf":
-            if self.exponent is None or self.exponent < 0:
-                raise ValueError("zipf requires a non-negative exponent")
+            # written so that nan fails the comparison
+            if self.exponent is None or not 0 <= self.exponent < math.inf:
+                raise ValueError(
+                    f"zipf requires a finite non-negative exponent, got {self.exponent}"
+                )
             if self.exponent == 0:
                 warnings.warn(
                     "zipf exponent 0 degenerates to the homogeneous distribution",
                     stacklevel=_caller_stacklevel(),
                 )
-        if self.kind == "poisson" and (self.poisson_mean is None or self.poisson_mean <= 0):
-            raise ValueError("poisson requires a positive mean")
+        if self.kind == "poisson" and (
+            self.poisson_mean is None or not 0 < self.poisson_mean < math.inf
+        ):
+            raise ValueError(f"poisson requires a finite positive mean, got {self.poisson_mean}")
 
     @classmethod
     def zipf(cls, exponent: float, support_bound: int) -> "DistributionSpec":
@@ -204,6 +208,7 @@ def estimate_violation_probability(
     The float verdict decides each chunk's clear matrices, and
     ``chsh_max_abs_batch`` re-decides only those within 1e-9 of |S| = 2.
     """
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
@@ -296,26 +301,3 @@ def parameter_sweep(
             pool.map(estimate_violation_probability, specs, [n_samples] * len(grid), seeds)
         )
     return CurveSet(kind=kind, grid=tuple(grid), estimates=estimates)
-
-
-def curves_to_csv(curves: CurveSet, path: str | Path) -> None:
-    """Write one row per grid point; empty cells for inapplicable parameters."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["kind", "lambda", "mu", "B", "n_samples", "p_hat", "std_err", "seed"]
-        )
-        for est in curves.estimates:
-            spec = est.spec
-            writer.writerow(
-                [
-                    spec.kind,
-                    repr(spec.exponent) if spec.kind == "zipf" else "",
-                    repr(spec.poisson_mean) if spec.kind == "poisson" else "",
-                    spec.support_bound,
-                    est.n_samples,
-                    repr(est.p_hat),
-                    repr(est.std_err),
-                    est.seed,
-                ]
-            )

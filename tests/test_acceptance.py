@@ -24,7 +24,6 @@ from entangletext import (
     canonical_partitions,
     chsh_max_abs_batch,
     chsh_statistic,
-    curves_to_csv,
     estimate_violation_probability,
     expected_value,
     max_abs_chsh,
@@ -43,6 +42,9 @@ from oracles import (
 
 DATA = Path(__file__).parent / "data"
 SWEEP_SEED = 42
+# the figure's grid: 20 zipf exponents at each of 4 support bounds
+FIGURE_EXPONENTS = [round(0.1 * i, 10) for i in range(1, 21)]
+FIGURE_BOUNDS = [10, 50, 100, 500]
 BASELINE_SEED = 20240811
 
 # regression values frozen from the pre-run at BASELINE_SEED, 20000 samples
@@ -59,10 +61,9 @@ def _ok(name):
 
 @pytest.fixture(scope="module")
 def figure_curves():
-    exponents = [round(0.1 * i, 10) for i in range(1, 21)]
     t0 = time.monotonic()
     curves = parameter_sweep(
-        "zipf", exponents, [10, 50, 100, 500], n_samples=10_000, seed=SWEEP_SEED
+        "zipf", FIGURE_EXPONENTS, FIGURE_BOUNDS, n_samples=10_000, seed=SWEEP_SEED
     )
     return curves, time.monotonic() - t0
 
@@ -223,7 +224,8 @@ def test_figure_sweep_csv_matches_committed_digest(figure_curves, tmp_path):
     curves, _ = figure_curves
     digest, name = (DATA / "figure_sweep.sha256").read_text(encoding="utf-8").split()
     path = tmp_path / name
-    curves_to_csv(curves, path)
+    written = run_simulate("zipf", FIGURE_EXPONENTS, FIGURE_BOUNDS, 10_000, SWEEP_SEED, path)
+    assert written == curves
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     _ok("figure sweep CSV matches the committed digest")
 

@@ -248,7 +248,7 @@ class TestHistogram:
     def test_all_zero_matrix(self):
         matrix = count_cooccurrences(_pair(), _windows())
         hist = cooccurrence_histogram(matrix)
-        assert hist.bins == {0: 100}
+        assert hist == {0: 100}
 
     def test_unit_binning_direct_tally(self):
         counts = np.zeros((10, 10), dtype=np.int64)
@@ -258,23 +258,23 @@ class TestHistogram:
             concept_pair=_pair(), window_size=5, counts=counts, n_windows=60
         )
         hist = cooccurrence_histogram(matrix)
-        assert hist.bins == {0: 90, 5: 9, 50: 1}
-        assert sum(hist.bins.values()) == 100
+        assert hist == {0: 90, 5: 9, 50: 1}
+        assert sum(hist.values()) == 100
 
     def test_matches_reference_on_bundled_corpus(self, bundled_by_id, planted_expected):
         topic = bundled_by_id["storm"]
         pair = _bundled_pair(topic)
         matrix = count_cooccurrences(pair, topic.windows(5))
         hist = cooccurrence_histogram(matrix)
-        assert hist.bins == histogram_reference(matrix.counts.tolist())
+        assert hist == histogram_reference(matrix.counts.tolist())
         frozen = planted_expected["topics"]["storm"]["methods"]["frequency"]["cells"]["5"]
-        assert {str(k): v for k, v in hist.bins.items()} == frozen["histogram"]
+        assert {str(k): v for k, v in hist.items()} == frozen["histogram"]
 
     def test_bins_always_sum_to_matrix_size(self, bundled_by_id):
         for topic in bundled_by_id.values():
             matrix = count_cooccurrences(_bundled_pair(topic), topic.windows(5))
             hist = cooccurrence_histogram(matrix)
-            assert sum(hist.bins.values()) == matrix.counts.size
+            assert sum(hist.values()) == matrix.counts.size
 
 
 class TestCoocMatrixValidation:

@@ -179,6 +179,15 @@ class TestRunSimulate:
         assert meta["seed"] == 42 and meta["n_samples"] == 300
         assert len(meta["grid"]) == 4
 
+    @pytest.mark.parametrize("kind", ["zipf", "poisson"])
+    def test_numpy_parameters_write_the_same_files(self, kind, tmp_path):
+        plain, numpy = tmp_path / "plain.csv", tmp_path / "numpy.csv"
+        run_simulate(kind, [0.5, 1.5], [10], 100, 3, plain)
+        run_simulate(kind, np.array([0.5, 1.5]), [10], 100, 3, numpy)
+        assert numpy.read_bytes() == plain.read_bytes()
+        meta = numpy.with_suffix(".csv.meta.json")
+        assert meta.read_bytes() == plain.with_suffix(".csv.meta.json").read_bytes()
+
     def test_thread_count_and_chunk_size_do_not_change_the_files(self, tmp_path, monkeypatch):
         def files(name, threads):
             monkeypatch.setenv("ENTANGLE_THREADS", threads)
@@ -531,6 +540,14 @@ class TestCli:
         out = tmp_path / "c.csv"
         assert main(["simulate", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        exponents = "0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0 1.1 1.2 1.3 1.4 1.5 1.6 1.7 1.8 1.9 2.0"
+        points = [(p, b) for b in (10, 50, 100, 500) for p in exponents.split()]
+        sidecar = (
+            '{\n "tool": "entangletext",\n "version": "0.1.0",\n "kind": "zipf",\n "grid": [\n'
+            + ",\n".join(f"  [\n   {p},\n   {b}\n  ]" for p, b in points)
+            + '\n ],\n "n_samples": 10000,\n "seed": 42\n}\n'
+        )
+        assert (tmp_path / "c.csv.meta.json").read_bytes() == sidecar.encode("utf-8")
 
     def test_selftest_cli(self, capsys):
         assert main(["selftest"]) == 0
@@ -550,6 +567,31 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lambda-grid", "oops", "--out", "x.csv"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "kind, flag, grid",
+        [
+            ("zipf", "--lambda-grid", "0:inf:0.1"),
+            ("zipf", "--lambda-grid", "nan:1:0.1"),
+            ("zipf", "--lambda-grid", "-inf:1:0.1"),
+            ("zipf", "--lambda-grid", "0:1:inf"),
+            ("poisson", "--mu-grid", "0:1:inf"),
+            ("poisson", "--mu-grid", "0.5:nan:0.5"),
+        ],
+    )
+    def test_non_finite_grid_usage_error(self, kind, flag, grid, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sweep ran on a non-finite grid")
+
+        monkeypatch.setattr(report, "parameter_sweep", must_not_run)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kind", kind, f"{flag}={grid}", "--B", "10", "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"must be finite, got {grid!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 # Manifest fuzzing: any JSON shape, with fields missing, of the wrong type,

@@ -44,6 +44,28 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec(kind="cauchy", support_bound=10)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DistributionSpec.zipf(math.nan, 10), "finite non-negative exponent"),
+            (lambda: DistributionSpec.zipf(math.inf, 10), "finite non-negative exponent"),
+            (lambda: DistributionSpec.poisson(math.nan, 10), "finite positive mean"),
+            (lambda: DistributionSpec.poisson(math.inf, 10), "finite positive mean"),
+            (lambda: DistributionSpec.zipf(1.0, 10.5), "support bound must be an integer"),
+            (lambda: DistributionSpec.homogeneous(10.0), "support bound must be an integer"),
+            (lambda: DistributionSpec.poisson(1.0, "10"), "support bound must be an integer"),
+        ],
+        ids=["zipf-nan", "zipf-inf", "poisson-nan", "poisson-inf", "bound-10.5", "bound-10.0",
+             "bound-str"],
+    )
+    def test_meaningless_numbers_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integer_bound_stored_as_int(self):
+        bound = DistributionSpec.homogeneous(np.int64(7)).support_bound
+        assert bound == 7 and type(bound) is int
+
 
 class TestPmf:
     def test_zipf_normalization_example(self):
@@ -219,6 +241,11 @@ class TestEstimates:
     def test_n_samples_validated(self):
         with pytest.raises(ValueError):
             estimate_violation_probability(DistributionSpec.homogeneous(5), 0, 1)
+
+    @pytest.mark.parametrize("n_samples", [10.5, 100.0, "100"])
+    def test_n_samples_must_be_an_integer(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            estimate_violation_probability(DistributionSpec.homogeneous(5), n_samples, 1)
 
 
 class TestParameterSweep:
