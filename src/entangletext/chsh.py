@@ -36,9 +36,28 @@ expressions on Python ints. The argmax is the first split pair, row
 split major, whose exact maximum is largest, then the first of its
 partition pairs in enumerate_partitions() order that attains it.
 
-The simulator keeps only the verdict, so ``_FloatVerdict`` evaluates the
-same split-pair rule in float64 and decides every matrix whose float
-maximum is more than 1e-9 from 2; the kernel re-decides the rest.
+Clear verdicts are decided in float64 by the same split-pair rule:
+``_FloatVerdict`` for the simulator's matrices, and
+``entanglement_proportion`` for the subset pairs that survive its prune.
+``_band_verdict`` calls a float maximum of |S| violated above 2 + 1e-9
+and close within 1e-9 of 2, and the kernel re-decides the close ones.
+A verdict outside the band is exact while 4 x (largest count) <= 2**53:
+
+- Every block sum and difference of counts is then an integer of at most
+  2**53, so numer and denom are exact in float64.
+- The one correctly rounded division keeps each x within a relative
+  2**-53 of the exact quotient. Its sign is exact, and it is zero only
+  when numer is, so the parity of the negative x is exact.
+- |x| <= 1, so the three additions and the subtraction of 2 min|x| add
+  at most a few 2**-52 each: the float best of each split pair, and so
+  their maximum, is within about 1e-14 of the exact maximum, far inside
+  the 1e-9 band. A float maximum above 2 + 1e-9 therefore proves a
+  violation and one below 2 - 1e-9 proves none; exact ties at |S| = 2
+  always land in the band.
+
+The simulator's counts are at most B, the length of its pmf array, so
+they always meet the premise; a scan over larger counts sends every
+subset pair that survives its prune to the kernel.
 
 Every block layout numbers the pairs of n indices in combinations(range(n),
 2) order. Of the six pairs of four indices (``_PAIRS``), pairs s and 5 - s
@@ -87,6 +106,10 @@ _PAIRS = tuple(combinations(range(4), 2))
 
 # A float maximum of |S| within this of 2 is re-decided exactly.
 _FLOAT_BAND = 1e-9
+
+# Every block sum of counts is exact in float64 while 4 x (largest count) is
+# at most this.
+_EXACT_FLOAT_SUM = 2**53
 
 # The kernel runs in int64 while 4 x (largest count), the largest possible
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
@@ -349,17 +372,22 @@ def _block_terms(f, total, diff, numer, denom) -> None:
         np.add(total[:, c1], total[:, c2], out=denom[:, q])
 
 
+def _band_verdict(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(violated, close): float maxima of |S| above 2 + 1e-9, and within 1e-9 of 2."""
+    return top > VIOLATION_BOUND + _FLOAT_BAND, np.abs(top - VIOLATION_BOUND) <= _FLOAT_BAND
+
+
 class _FloatVerdict:
     """Float verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
 
     Calling it on an (n, 4, 4) array of non-negative integer counts, n <=
     capacity, returns boolean arrays (violated, close): ``violated`` where
     the float maximum of |S| is above 2 + 1e-9, ``close`` where it is within
-    1e-9 of 2. Outside the band the verdict is exact; only ``close``
-    matrices need ``chsh_max_abs_batch``. Every call writes into float64
-    buffers allocated once here, so one instance serves every chunk of a
-    sampling run with no temporaries larger than its two results; an
-    instance must not be shared between threads.
+    1e-9 of 2 (``_band_verdict``). Outside the band the verdict is exact;
+    only ``close`` matrices need ``chsh_max_abs_batch``. Every call writes
+    into float64 buffers allocated once here, so one instance serves every
+    chunk of a sampling run with no temporaries larger than its two
+    results; an instance must not be shared between threads.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
@@ -371,22 +399,8 @@ class _FloatVerdict:
     integers. An empty block gives x = 0/0 = NaN, so its split pair is NaN,
     and the maximum over the nine split pairs is taken with fmax, which
     never picks NaN: a matrix whose split pairs are all skipped is neither
-    violated nor close.
-
-    Why a verdict outside the band is exact:
-
-    - Counts are integers far below 2**51 (the simulator's are at most B,
-      the length of its pmf array), so every block sum and difference is
-      exact in float64.
-    - The one correctly rounded division keeps each x within a relative
-      2**-53 of the exact quotient; its sign is exact, so the parity is
-      exact.
-    - |x| <= 1, so the three additions and the subtraction of 2 min|x| add
-      at most a few 2**-52 each: the float best of each split pair, and so
-      their maximum, is within about 1e-14 of the exact maximum, far inside
-      the 1e-9 band. A float maximum above 2 + 1e-9 therefore proves a
-      violation and one below 2 - 1e-9 proves none; exact ties at |S| = 2
-      always land in the band.
+    violated nor close. The module docstring proves the verdict outside
+    the band exact.
     """
 
     def __init__(self, capacity: int):
@@ -422,8 +436,7 @@ class _FloatVerdict:
         lowest *= even
         lowest *= 2.0
         best -= lowest
-        top = np.fmax.reduce(best, axis=(0, 1))
-        return top > VIOLATION_BOUND + _FLOAT_BAND, np.abs(top - VIOLATION_BOUND) <= _FLOAT_BAND
+        return _band_verdict(np.fmax.reduce(best, axis=(0, 1)))
 
 
 def _partition_pair(index: int) -> tuple[Partition, Partition]:
@@ -473,13 +486,11 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     the 16 partition pairs of a split pair adds its four block expectations
     x with signs of +1 or -1, so none reaches |S| above sum|x|, and a
     subset pair whose nine split pairs all have sum|x| <= 2 cannot violate.
-    The scan takes |x| from one table over (row pair, column pair) blocks,
-    built by ``_block_terms`` in the module docstring's pair numbering, and
-    sums it for every split pair of about _SCAN_CHUNK subset pairs at a
-    time, so memory stays bounded as k grows. Only subset pairs with some
-    split pair above 2 - 1e-9 reach ``_split_kernel``, on their full 4x4
-    block, so every verdict, |S|, argmax and tie rule is the kernel's exact
-    one. The prune cannot drop a violation:
+    The scan takes x = numer / denom from one table over (row pair, column
+    pair) blocks, built by ``_block_terms`` in the module docstring's pair
+    numbering, and sums |x| for every split pair of about _SCAN_CHUNK
+    subset pairs at a time, so memory stays bounded as k grows. The prune
+    cannot drop a violation:
 
     - Each |x| is a float quotient of integer sums, correctly rounded while
       counts stay below 2**51 and within a few 2**-53 of the exact value
@@ -487,8 +498,21 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
       sum|x|, far inside the 1e-9 margin.
     - An empty block has |x| = -inf, so its split pair sums to -inf and
       never survives; ``_split_kernel`` skips such split pairs too.
-    - The prune only proves pairs safe: it never decides a violation, so
-      no float band comes back.
+
+    The split pairs above 2 - 1e-9 are live. Each takes its four signed x
+    from the table and its float best |S| by the module docstring's rule.
+    Every other split pair is below 2 - 1e-9, so a subset pair's float
+    maximum over its live split pairs decides it as in the module
+    docstring. ``_split_kernel`` sees, on their full 4x4 blocks, only the
+    close subset pairs, which it decides and counts, and the violated ones
+    whose float |S| is at least the ``top_details``-th largest |S| known so
+    far less 1e-9; the known values are the exact ones kept from earlier
+    chunks and this chunk's float ones. Any other violation is weaker than
+    ``top_details`` known ones by more than the float error, so it cannot
+    be reported, and every reported S, argmax and tie rule is the
+    kernel's. When 4 x (largest count) is above 2**53 the floats prove
+    nothing, and every subset pair that survives the prune goes to the
+    kernel.
 
     Violating pairs are counted per chunk and only the strongest
     ``top_details`` of them are kept, so no array spans all subset pairs.
@@ -505,10 +529,14 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     numer, denom = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2))
     _block_terms(matrix.counts.astype(np.float64), *sums, numer, denom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.abs(numer) / denom
+        x = numer / denom
+    table = np.abs(x)
     table[denom == 0] = -np.inf
+    floats_decide = 4 * int(matrix.counts.max(initial=0)) <= _EXACT_FLOAT_SUM
     row_h0, row_h1 = _split_halves(row_subsets, n_rows)
     col_h0, col_h1 = _split_halves(col_subsets, n_cols)
+    # offsets of the row halves' rows in the flattened x
+    row_x0, row_x1 = row_h0 * x.shape[1], row_h1 * x.shape[1]
     step = max(1, _SCAN_CHUNK // n_cs)
 
     n_entangled = 0
@@ -521,19 +549,55 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         # u sums the |x| of the row split's two halves per column pair
         u = table[row_h0[rows]] + table[row_h1[rows]]
         bound = u[:, col_h0] + u[:, col_h1]
-        alive = (bound > VIOLATION_BOUND - 1e-9).reshape(-1, 3, n_cs, 3)
-        rs, cs = np.nonzero(alive.any(axis=3).any(axis=1))
-        if not len(rs):
+        live = np.flatnonzero(bound > VIOLATION_BOUND - _FLOAT_BAND)
+        if not len(live):
             continue
-        rs += first
+        # row (row subset, row split) and column (column subset, column split)
+        i, j = np.divmod(live, bound.shape[1])
+        best = bound.take(live)
+        if floats_decide:
+            r = i + 3 * first
+            h0, h1 = col_h0[j], col_h1[j]
+            x00, x01 = x.take(row_x0[r] + h0), x.take(row_x0[r] + h1)
+            x10, x11 = x.take(row_x1[r] + h0), x.take(row_x1[r] + h1)
+            low = np.minimum(np.minimum(np.abs(x00), np.abs(x01)),
+                             np.minimum(np.abs(x10), np.abs(x11)))
+            # an even number of negative x, or a zero x, leaves a product >= 0;
+            # a non-zero |x| is at least 2**-53, so the product never underflows
+            low *= x00 * x01 * x10 * x11 >= 0
+            best -= 2 * low
+        # float maximum of |S| per subset pair (of sum|x| without floats_decide)
+        top = np.full(len(bound) // 3 * n_cs, -np.inf)
+        np.maximum.at(top, i // 3 * n_cs + j // 3, best)
+        pairs = np.flatnonzero(top > VIOLATION_BOUND - _FLOAT_BAND)
+        top = top[pairs]
+        if floats_decide:
+            violated, close = _band_verdict(top)
+        else:  # sum|x| proves nothing: the kernel decides every survivor
+            violated, close = np.zeros(len(top), dtype=bool), np.ones(len(top), dtype=bool)
+        n_violated = int(violated.sum())
+        n_entangled += n_violated
+        to_kernel = close
+        if top_details > 0 and n_violated:
+            # a violation can rank among the strongest top_details only if its
+            # float |S| reaches the top_details-th largest known |S|, less the band
+            known = np.concatenate([np.abs(top_signed), top[violated]])
+            floor = -np.inf
+            if len(known) >= top_details:
+                floor = np.partition(known, -top_details)[-top_details] - _FLOAT_BAND
+            to_kernel = close | (violated & (top >= floor))
+        if not to_kernel.any():
+            continue
+        index = pairs[to_kernel] + first * n_cs
+        rs, cs = np.divmod(index, n_cs)
         blocks = matrix.counts[row_subsets[rs][:, :, None], col_subsets[cs][:, None, :]]
         signed, argmax, _ = _split_kernel(blocks)
-        violated = np.abs(signed) > VIOLATION_BOUND
-        n_entangled += int(violated.sum())
+        violates = np.abs(signed) > VIOLATION_BOUND
+        n_entangled += int((violates & close[to_kernel]).sum())
         if top_details > 0:
-            top_index = np.concatenate([top_index, (rs * n_cs + cs)[violated]])
-            top_signed = np.concatenate([top_signed, signed[violated]])
-            top_argmax = np.concatenate([top_argmax, argmax[violated]])
+            top_index = np.concatenate([top_index, index[violates]])
+            top_signed = np.concatenate([top_signed, signed[violates]])
+            top_argmax = np.concatenate([top_argmax, argmax[violates]])
             keep = np.lexsort((top_index, -np.abs(top_signed)))[:top_details]
             top_index, top_signed, top_argmax = top_index[keep], top_signed[keep], top_argmax[keep]
 

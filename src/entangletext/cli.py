@@ -26,8 +26,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# A grid of more points than this is rejected before any point is built.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
-    """start:stop:step, inclusive of stop (within float tolerance)."""
+    """start:stop:step, inclusive of stop (within 1e-9 of a step); every
+    point is rounded to 10 decimals, and the rounded points must be
+    distinct and no greater than stop."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -40,14 +46,20 @@ def _parse_grid(text: str) -> list[float]:
         )
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    values = []
-    k = 0
-    while True:
-        value = round(start + k * step, 10)
-        if value > stop + 1e-9:
-            break
-        values.append(value)
-        k += 1
+    steps = (stop - start) / step + 1e-9
+    if steps >= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
+        )
+    values = [round(start + k * step, 10) for k in range(int(steps) + 1)]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} repeats points when rounded to 10 decimals"
+        )
+    if values[-1] > stop:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} passes its stop when rounded to 10 decimals"
+        )
     return values
 
 

@@ -1,18 +1,20 @@
 """Built-in verification suite runnable from the CLI.
 
-Five checks with embedded, independently coded oracles: exact-rational
+Six checks with embedded, independently coded oracles: exact-rational
 block expectations, the alternating large/small matrix whose best
 partition reaches 4 * 198/202, equivalence of the canonical 144-partition
-scan with the full 24 x 24 row/column ordering scan, sampling-pmf
-normalization, and the simulator's guide-table draw held to
-``searchsorted`` on keys at bucket edges and cdf steps. The large/small
-and ordering checks also hold ``chsh_max_abs_batch``, the exact kernel
-behind every verdict, and the float verdict that decides the clear
-``simulate`` matrices to the exact ordering scan; a matrix the float
-verdict calls close must lie within 1e-9 of |S| = 2, where the exact
-kernel decides it. The partition table used by the canonical side is
-injectable so a corrupted table is detectable (negative control in the
-test suite).
+scan with the full 24 x 24 row/column ordering scan, the subset scan's
+verdicts, sampling-pmf normalization, and the simulator's guide-table
+draw held to ``searchsorted`` on keys at bucket edges and cdf steps. The
+large/small and ordering checks also hold ``chsh_max_abs_batch``, the
+exact kernel behind every verdict, and the float verdict that decides the
+clear ``simulate`` matrices to the exact ordering scan; a matrix the
+float verdict calls close must lie within 1e-9 of |S| = 2, where the
+exact kernel decides it. The scan check holds ``entanglement_proportion``,
+whose floats decide the clear subset pairs, to ``chsh_max_abs_batch`` on
+every subset block of a 6x6 matrix with an exact tie at |S| = 2. The
+partition table used by the canonical side is injectable so a corrupted
+table is detectable (negative control in the test suite).
 """
 
 from __future__ import annotations
@@ -20,18 +22,21 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .chsh import SubMatrix, canonical_partitions, chsh_statistic, enumerate_partitions
-from .chsh import _FloatVerdict, chsh_max_abs_batch, expected_value
+from .chsh import _FloatVerdict, chsh_max_abs_batch, entanglement_proportion, expected_value
+from .cooccurrence import CoocMatrix
+from .relevance import ConceptPair
 from .simulation import DistributionSpec, distribution_pmf
 from .simulation import _guide_buckets, _InverseCdfDraw
 
 __all__ = ["CheckResult", "run_selftest"]
 
 _N_MATRICES = 50  # random matrices of the ordering-equivalence check
+_SCAN_DETAILS = 5  # strongest violations the scan-verdicts check compares
 _SEED = 7
 
 
@@ -174,6 +179,46 @@ def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
     )
 
 
+def _check_scan_verdicts() -> CheckResult:
+    # _LARGE_SMALL in the top-left 4x4 block, then _EXACT_TIE over the
+    # bottom-right one (the two share a 2x2 corner), zeros elsewhere
+    counts = np.zeros((6, 6), dtype=np.int64)
+    counts[:4, :4] = _LARGE_SMALL
+    counts[2:, 2:] = _EXACT_TIE
+    labels = [tuple(f"{side}{i}" for i in range(6)) for side in "rc"]
+    pair = ConceptPair(c1=labels[0], c2=labels[1], method="frequency", topic_id="selftest")
+    matrix = CoocMatrix(pair, window_size=1, counts=counts, n_windows=int(counts.max()))
+    report = entanglement_proportion(matrix, top_details=_SCAN_DETAILS)
+
+    subsets = list(combinations(range(6), 4))
+    blocks = np.array([counts[np.ix_(rows, cols)] for rows in subsets for cols in subsets])
+    max_abs, argmax, _ = chsh_max_abs_batch(blocks)
+    violated = np.flatnonzero(max_abs > 2).tolist()
+    strongest = sorted(violated, key=lambda i: (-max_abs[i], i))[:_SCAN_DETAILS]
+    want = [
+        (subsets[i // len(subsets)], subsets[i % len(subsets)], max_abs[i],
+         enumerate_partitions()[argmax[i]])
+        for i in strongest
+    ]
+    got = [
+        (tuple(labels[0].index(t) for t in d.row_terms),
+         tuple(labels[1].index(t) for t in d.col_terms), abs(d.s),
+         (d.row_partition, d.col_partition))
+        for d in report.details
+    ]
+    if report.n_pairs_entangled != len(violated):
+        problem = f"scan counts {report.n_pairs_entangled} violations, the kernel {len(violated)}"
+        return CheckResult("scan verdicts", False, problem)
+    if got != want:
+        return CheckResult("scan verdicts", False, "scan details differ from the kernel's")
+    return CheckResult(
+        "scan verdicts",
+        True,
+        f"{len(violated)} of {len(blocks)} subset pairs violate, "
+        f"{int((max_abs == 2).sum())} tie at |S| = 2; top {_SCAN_DETAILS} match",
+    )
+
+
 _SAMPLING_SPECS = (
     DistributionSpec.zipf(0.7, 100),
     DistributionSpec.zipf(2.0, 500),
@@ -230,6 +275,7 @@ def run_selftest(partition_pairs=None, stream=None) -> list[CheckResult]:
         _check_expectations(rng),
         _check_large_small(partition_pairs),
         _check_ordering_equivalence(partition_pairs, rng),
+        _check_scan_verdicts(),
         _check_pmf_normalization(),
         _check_inverse_cdf_draw(),
     ]

@@ -606,10 +606,12 @@ def _unpruned_scan(matrix, top_details):
 @st.composite
 def _small_counts(draw):
     # entries in {0, 1, 2}: block sums land exactly on 2 and empty blocks occur;
-    # the large scale puts 4 x (largest count) above the int64 bound of 6888
+    # 10**4 puts 4 x (largest count) above the int64 bound of 6888, 2**50
+    # right at the 2**53 bound of exact float block sums, and 2**52 above it,
+    # where every subset pair that survives the prune goes to the kernel
     k = draw(st.integers(4, 7))
     flat = draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
-    scale = draw(st.sampled_from([1, 10**4]))
+    scale = draw(st.sampled_from([1, 10**4, 2**50, 2**52]))
     return np.array(flat, dtype=np.int64).reshape(k, k) * scale
 
 
@@ -736,6 +738,27 @@ class TestEntanglementProportion:
         assert all(abs(d.s) == 4.0 for d in report.details[:555])
         first_rows = {d.row_terms for d in report.details[:100]}
         assert len(first_rows) > 1
+
+    def test_kernel_sees_only_the_band_and_the_top_candidates(self, bundled_by_id, monkeypatch):
+        topic = bundled_by_id["storm"]
+        from entangletext import build_concept_pair, rank_by_frequency
+
+        pair = build_concept_pair(rank_by_frequency(topic))
+        matrix = count_cooccurrences(pair, topic.windows(5))
+        seen = []
+        kernel = chsh._split_kernel
+
+        def counting_kernel(blocks):
+            seen.append(len(blocks))
+            return kernel(blocks)
+
+        monkeypatch.setattr(chsh, "_split_kernel", counting_kernel)
+        report = entanglement_proportion(matrix, top_details=10)
+        monkeypatch.setattr(chsh, "_split_kernel", kernel)
+        n_entangled, details = _unpruned_scan(matrix, 10)
+        assert (report.n_pairs_entangled, report.details) == (n_entangled, details)
+        # every violation survives the prune, so the floats decided most survivors
+        assert 0 < sum(seen) < n_entangled // 10
 
     def test_memory_bounded_at_k15(self):
         # the full-length signed + argmax arrays alone took 1,863,225 x 16 B

@@ -552,7 +552,7 @@ class TestCli:
     def test_selftest_cli(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -561,7 +561,7 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
-        assert proc.stdout.count("PASS") == 5
+        assert proc.stdout.count("PASS") == 6
 
     def test_bad_grid_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -590,6 +590,33 @@ class TestCli:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1].endswith(f"must be finite, got {grid!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, problem",
+        [
+            ("0:1e-12:1e-13", "repeats points when rounded to 10 decimals"),
+            ("0.5:0.5000000000001:0.00000000000001", "repeats points when rounded to 10 decimals"),
+            ("0:0.00000000006:0.00000000006", "passes its stop when rounded to 10 decimals"),
+            ("0:1e12:1", "has more than 10000 points"),
+        ],
+        ids=["repeats-below-step", "repeats-at-half", "passes-stop", "too-many-points"],
+    )
+    def test_degenerate_grid_usage_error(self, grid, problem, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sweep ran on a degenerate grid")
+
+        monkeypatch.setattr(report, "parameter_sweep", must_not_run)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", f"--lambda-grid={grid}", "--B", "10", "--samples", "10",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"entangletext simulate: error: argument --lambda-grid: grid {grid!r} {problem}"
+        ]
         assert "Traceback" not in err
         assert not out.exists()
 

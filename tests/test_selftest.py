@@ -12,10 +12,10 @@ from entangletext.cli import main
 def test_pristine_build_passes():
     stream = io.StringIO()
     results = run_selftest(stream=stream)
-    assert [r.passed for r in results] == [True] * 5
+    assert [r.passed for r in results] == [True] * 6
     assert results[-1].name == "inverse-CDF draw"
     lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
 
 
@@ -68,6 +68,16 @@ def test_wrong_float_verdict_fails(violated, close, monkeypatch):
     assert not by_name["large/small pattern"].passed
     assert not by_name["ordering equivalence"].passed
     assert "float verdict" in by_name["ordering equivalence"].detail
+
+
+def test_scan_without_the_band_fails(monkeypatch, capsys):
+    # with no band the scan's floats count the exact tie, which reads above 2
+    monkeypatch.setattr(chsh, "_FLOAT_BAND", 0.0)
+    by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
+    assert not by_name["scan verdicts"].passed
+    assert "violations" in by_name["scan verdicts"].detail
+    assert main(["selftest"]) == 3
+    assert "FAIL  scan verdicts" in capsys.readouterr().out
 
 
 def test_inexact_inverse_cdf_draw_fails(monkeypatch):
