@@ -41,23 +41,25 @@ Clear verdicts are decided in float64 by the same split-pair rule:
 ``entanglement_proportion`` for the subset pairs that survive its prune.
 ``_band_verdict`` calls a float maximum of |S| violated above 2 + 1e-9
 and close within 1e-9 of 2, and the kernel re-decides the close ones.
-A verdict outside the band is exact while 4 x (largest count) <= 2**53:
+A verdict outside the band is exact for any non-negative int64 counts:
 
-- Every block sum and difference of counts is then an integer of at most
-  2**53, so numer and denom are exact in float64.
-- The one correctly rounded division keeps each x within a relative
-  2**-53 of the exact quotient. Its sign is exact, and it is zero only
-  when numer is, so the parity of the negative x is exact.
-- |x| <= 1, so the three additions and the subtraction of 2 min|x| add
-  at most a few 2**-52 each: the float best of each split pair, and so
-  their maximum, is within about 1e-14 of the exact maximum, far inside
-  the 1e-9 band. A float maximum above 2 + 1e-9 therefore proves a
-  violation and one below 2 - 1e-9 proves none; exact ties at |S| = 2
-  always land in the band.
-
-The simulator's counts are at most B, the length of its pmf array, so
-they always meet the premise; a scan over larger counts sends every
-subset pair that survives its prune to the kernel.
+- Each count converts to float64 within a relative 2**-53, and each of
+  the three additions or subtractions that form a block's numer, or its
+  denom, adds at most 2**-53 times a magnitude no larger than the exact
+  block sum d. So the float numer and denom are within a few 2**-53 d of
+  the exact ones, denom is zero only for an empty block, and since
+  |numer| <= d, every float x = numer / denom is within a few 2**-53 of
+  the exact x. (While d <= 2**53 the sums are exact and only the
+  division rounds.)
+- So are |x|, sum|x| and min|x|. Where the float signs give the parity
+  of the negative x wrongly, some x lies within that error of 0, so the
+  exact and float min|x| do too, and both rules, sum|x| - 2 min|x| and
+  sum|x|, then agree within a few 2**-53.
+- |x| <= 1, so the float best of each split pair, and so their maximum,
+  is within about 1e-14 of the exact maximum, far inside the 1e-9 band.
+  A float maximum above 2 + 1e-9 therefore proves a violation and one
+  below 2 - 1e-9 proves none; exact ties at |S| = 2 always land in the
+  band.
 
 Every block layout numbers the pairs of n indices in combinations(range(n),
 2) order. Of the six pairs of four indices (``_PAIRS``), pairs s and 5 - s
@@ -106,10 +108,6 @@ _PAIRS = tuple(combinations(range(4), 2))
 
 # A float maximum of |S| within this of 2 is re-decided exactly.
 _FLOAT_BAND = 1e-9
-
-# Every block sum of counts is exact in float64 while 4 x (largest count) is
-# at most this.
-_EXACT_FLOAT_SUM = 2**53
 
 # The kernel runs in int64 while 4 x (largest count), the largest possible
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
@@ -492,10 +490,9 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     subset pairs at a time, so memory stays bounded as k grows. The prune
     cannot drop a violation:
 
-    - Each |x| is a float quotient of integer sums, correctly rounded while
-      counts stay below 2**51 and within a few 2**-53 of the exact value
-      beyond; a float sum of four is then within about 1e-14 of the exact
-      sum|x|, far inside the 1e-9 margin.
+    - Each float |x| is within a few 2**-53 of the exact one at any count
+      size (module docstring), so a float sum of four is within about
+      1e-14 of the exact sum|x|, far inside the 1e-9 margin.
     - An empty block has |x| = -inf, so its split pair sums to -inf and
       never survives; ``_split_kernel`` skips such split pairs too.
 
@@ -510,9 +507,7 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     chunks and this chunk's float ones. Any other violation is weaker than
     ``top_details`` known ones by more than the float error, so it cannot
     be reported, and every reported S, argmax and tie rule is the
-    kernel's. When 4 x (largest count) is above 2**53 the floats prove
-    nothing, and every subset pair that survives the prune goes to the
-    kernel.
+    kernel's.
 
     Violating pairs are counted per chunk and only the strongest
     ``top_details`` of them are kept, so no array spans all subset pairs.
@@ -532,7 +527,6 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         x = numer / denom
     table = np.abs(x)
     table[denom == 0] = -np.inf
-    floats_decide = 4 * int(matrix.counts.max(initial=0)) <= _EXACT_FLOAT_SUM
     row_h0, row_h1 = _split_halves(row_subsets, n_rows)
     col_h0, col_h1 = _split_halves(col_subsets, n_cols)
     # offsets of the row halves' rows in the flattened x
@@ -554,27 +548,22 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
             continue
         # row (row subset, row split) and column (column subset, column split)
         i, j = np.divmod(live, bound.shape[1])
+        r = i + 3 * first
+        h0, h1 = col_h0[j], col_h1[j]
+        x00, x01 = x.take(row_x0[r] + h0), x.take(row_x0[r] + h1)
+        x10, x11 = x.take(row_x1[r] + h0), x.take(row_x1[r] + h1)
+        low = np.minimum(np.minimum(np.abs(x00), np.abs(x01)),
+                         np.minimum(np.abs(x10), np.abs(x11)))
+        # even parity of the negative x, by XOR of sign bits as in _FloatVerdict
+        low *= ~((x00 < 0) ^ (x01 < 0) ^ (x10 < 0) ^ (x11 < 0))
         best = bound.take(live)
-        if floats_decide:
-            r = i + 3 * first
-            h0, h1 = col_h0[j], col_h1[j]
-            x00, x01 = x.take(row_x0[r] + h0), x.take(row_x0[r] + h1)
-            x10, x11 = x.take(row_x1[r] + h0), x.take(row_x1[r] + h1)
-            low = np.minimum(np.minimum(np.abs(x00), np.abs(x01)),
-                             np.minimum(np.abs(x10), np.abs(x11)))
-            # an even number of negative x, or a zero x, leaves a product >= 0;
-            # a non-zero |x| is at least 2**-53, so the product never underflows
-            low *= x00 * x01 * x10 * x11 >= 0
-            best -= 2 * low
-        # float maximum of |S| per subset pair (of sum|x| without floats_decide)
+        best -= 2 * low
+        # float maximum of |S| per subset pair
         top = np.full(len(bound) // 3 * n_cs, -np.inf)
         np.maximum.at(top, i // 3 * n_cs + j // 3, best)
         pairs = np.flatnonzero(top > VIOLATION_BOUND - _FLOAT_BAND)
         top = top[pairs]
-        if floats_decide:
-            violated, close = _band_verdict(top)
-        else:  # sum|x| proves nothing: the kernel decides every survivor
-            violated, close = np.zeros(len(top), dtype=bool), np.ones(len(top), dtype=bool)
+        violated, close = _band_verdict(top)
         n_violated = int(violated.sum())
         n_entangled += n_violated
         to_kernel = close

@@ -606,13 +606,18 @@ def _unpruned_scan(matrix, top_details):
 @st.composite
 def _small_counts(draw):
     # entries in {0, 1, 2}: block sums land exactly on 2 and empty blocks occur;
-    # 10**4 puts 4 x (largest count) above the int64 bound of 6888, 2**50
-    # right at the 2**53 bound of exact float block sums, and 2**52 above it,
-    # where every subset pair that survives the prune goes to the kernel
+    # 10**4 puts 4 x (largest count) above the int64 bound of 6888, and 2**50
+    # and 2**52 put block sums at and above 2**53, where floats still hold
+    # them exactly; 2**56 plus an offset of 0-3 per entry makes the float
+    # sums inexact and moves the ties at |S| = 2 off 2 by under 1e-15
     k = draw(st.integers(4, 7))
     flat = draw(st.lists(st.integers(0, 2), min_size=k * k, max_size=k * k))
-    scale = draw(st.sampled_from([1, 10**4, 2**50, 2**52]))
-    return np.array(flat, dtype=np.int64).reshape(k, k) * scale
+    scale = draw(st.sampled_from([1, 10**4, 2**50, 2**52, 2**56]))
+    counts = np.array(flat, dtype=np.int64).reshape(k, k) * scale
+    if scale == 2**56:
+        offset = draw(st.lists(st.integers(0, 3), min_size=k * k, max_size=k * k))
+        counts += np.array(offset, dtype=np.int64).reshape(k, k)
+    return counts
 
 
 class TestEntanglementProportion:
