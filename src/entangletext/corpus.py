@@ -1,18 +1,27 @@
 """Topic-corpus ingestion: tokenization, normalization, window segmentation.
 
 Raw documents are reduced to ordered term sequences by one fixed
-normalization (maximal alphabetic runs, lowercased, stop-word filtered,
-Porter-stemmed unless stemming is off), kept as int32 ids into one
-vocabulary per load, and then tiled into fixed-size windows.
+normalization (maximal runs of ASCII letters, lowercased, stop-word
+filtered, Porter-stemmed unless stemming is off), kept as int32 ids into
+one vocabulary per load, and then tiled into fixed-size windows.
 Windows never cross document boundaries; the trailing partial window is
 kept so no terms are dropped.
+
+Tokenizing works on bytes: the text is encoded to UTF-8, one 256-entry
+``bytes.translate`` table lowercases ASCII letters and turns every other
+byte into a space, and ``split()`` yields the tokens. Every byte of a
+multi-byte UTF-8 sequence is at least 0x80, so a non-ASCII character
+ends a run exactly as it does for ``[A-Za-z]+`` on the str. Lone
+surrogates are encoded with ``surrogatepass`` and so also end a run.
+A per-load memo maps each byte token to its term id, and only a memo
+miss decodes the token and stems it.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import re
+import string
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,7 +92,10 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return words
 
 
-_TOKEN = re.compile(r"[A-Za-z]+")  # maximal runs of alphabetic characters
+# byte -> its lowercase form for an ASCII letter, else a space
+_LOWERCASE_LETTERS = bytes(
+    ord(chr(b).lower()) if chr(b) in string.ascii_letters else ord(" ") for b in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -251,11 +263,10 @@ _STOP = -1  # term id of a token the stoplist removes
 
 
 class _TermIds(dict):
-    """Raw token -> term id (or _STOP) for the documents of one load.
+    """Lowercase byte token -> term id (or _STOP) for the documents of one load.
 
-    A miss on a lowercase token stop-filters it, then stems it; a token with
-    capitals takes the id of its lowercase form. So each distinct lowercased
-    token reaches ``stem`` once per load.
+    A miss decodes the token, stop-filters it, then stems it, so each
+    distinct lowercased token reaches ``stem`` once per load.
     """
 
     def __init__(self, config: PipelineConfig, vocabulary: Vocabulary):
@@ -263,14 +274,12 @@ class _TermIds(dict):
         self.config = config
         self.vocabulary = vocabulary
 
-    def __missing__(self, token: str) -> int:
-        lowered = token.lower()
-        if lowered != token:
-            term_id = self[lowered]
-        elif token in self.config.stoplist:
+    def __missing__(self, token: bytes) -> int:
+        word = token.decode("ascii")
+        if word in self.config.stoplist:
             term_id = _STOP
         else:
-            term_id = self.vocabulary.add(stem(token) if self.config.stemming_enabled else token)
+            term_id = self.vocabulary.add(stem(word) if self.config.stemming_enabled else word)
         self[token] = term_id
         return term_id
 
@@ -290,7 +299,7 @@ def _normalize(raw: RawDocument, term_ids: _TermIds) -> TermSequence:
     Normalization is a pure function of the token, so a memo shared by the
     documents of one load normalizes each distinct token once.
     """
-    tokens = _TOKEN.findall(raw.text)
+    tokens = raw.text.encode("utf-8", "surrogatepass").translate(_LOWERCASE_LETTERS).split()
     ids = np.fromiter(map(term_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
     return TermSequence(doc_id=raw.doc_id, ids=ids[ids != _STOP], vocabulary=term_ids.vocabulary)
 

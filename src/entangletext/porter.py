@@ -6,58 +6,60 @@ removing it, and a failed condition blocks the whole step (no shorter
 suffix is retried). No short-word guard: the original algorithm stems
 words of every length. Input is expected to be a lowercase alphabetic
 token; uppercase input is lowercased first.
+
+Steps 2, 3 and 4 find their longest suffix by length, not by testing
+every rule: each rule list is built once into its distinct suffix
+lengths, longest first, and a dict from suffix to replacement. The first
+length n whose ``word[-n:]`` is a key gives the longest matching suffix.
+When the word is no longer than n, ``word[-n:]`` is the whole word, which
+matches only if the word itself is a suffix, and then it is the longest.
 """
 
 from __future__ import annotations
+
+import operator
 
 __all__ = ["stem"]
 
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel exactly when it follows a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _consonants(word: str) -> list[bool]:
+    """Whether each letter of word is a consonant, in one left-to-right pass.
+
+    y is a vowel exactly when it follows a consonant, so a y at the start
+    of the word is a consonant.
+    """
+    flags = []
+    consonant = False
+    for ch in word:
+        consonant = ch not in _VOWELS and (ch != "y" or not consonant)
+        flags.append(consonant)
+    return flags
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-to-consonant transitions: m in [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and prev_vowel:
-            m += 1
-        prev_vowel = not cons
-    return m
+    flags = _consonants(stem)
+    return sum(map(operator.gt, flags[1:], flags))  # consonant after vowel: True > False
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return not all(_consonants(stem))
 
 
 def _ends_double_consonant(stem: str) -> bool:
-    return (
-        len(stem) >= 2
-        and stem[-1] == stem[-2]
-        and _is_consonant(stem, len(stem) - 1)
-        and _is_consonant(stem, len(stem) - 2)
-    )
+    # a doubled letter other than a vowel or y is two consonants; "yy" never
+    # is, since a y after a consonant is a vowel
+    return len(stem) >= 2 and stem[-1] == stem[-2] and stem[-1] not in "aeiouy"
 
 
 def _ends_cvc(stem: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
     return (
         len(stem) >= 3
-        and _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
         and stem[-1] not in "wxy"
+        and _consonants(stem)[-3:] == [True, False, True]
     )
 
 
@@ -164,34 +166,32 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _longest_suffix(word, suffixes):
-    best = None
-    for suffix in suffixes:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    return best
+def _suffix_table(rules):
+    """A rule list as (its distinct suffix lengths, longest first; suffix -> replacement)."""
+    replacements = dict(rules)
+    return sorted({len(suffix) for suffix in replacements}, reverse=True), replacements
 
 
-def _apply_rule_list(word, rules, min_measure):
-    best = _longest_suffix(word, tuple(s for s, _ in rules))
-    if best is None:
-        return word
-    stem = word[: len(word) - len(best)]
-    if _measure(stem) > min_measure:
-        return stem + dict(rules)[best]
+_STEP2 = _suffix_table(_STEP2_RULES)
+_STEP3 = _suffix_table(_STEP3_RULES)
+_STEP4 = _suffix_table((suffix, "") for suffix in _STEP4_SUFFIXES)
+
+
+def _apply_rule_list(word, table, min_measure):
+    """Rewrite the longest suffix of word in table when m(stem) > min_measure.
+
+    Step 4's "ion" also needs a stem ending in s or t; no other step has
+    that suffix.
+    """
+    lengths, replacements = table
+    for n in lengths:
+        suffix = word[-n:]
+        if suffix in replacements:
+            stem = word[: len(word) - len(suffix)]
+            if _measure(stem) > min_measure and (suffix != "ion" or stem.endswith(("s", "t"))):
+                return stem + replacements[suffix]
+            return word
     return word
-
-
-def _step4(word: str) -> str:
-    best = _longest_suffix(word, _STEP4_SUFFIXES)
-    if best is None:
-        return word
-    stem = word[: len(word) - len(best)]
-    if _measure(stem) <= 1:
-        return word
-    if best == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
 
 
 def _step5a(word: str) -> str:
@@ -215,9 +215,9 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_rule_list(word, _STEP2_RULES, 0)
-    word = _apply_rule_list(word, _STEP3_RULES, 0)
-    word = _step4(word)
+    word = _apply_rule_list(word, _STEP2, 0)
+    word = _apply_rule_list(word, _STEP3, 0)
+    word = _apply_rule_list(word, _STEP4, 1)
     word = _step5a(word)
     word = _step5b(word)
     return word

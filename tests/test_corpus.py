@@ -2,11 +2,15 @@
 
 import json
 import re
+import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangletext import (
@@ -93,6 +97,28 @@ class TestTokenizeAndNormalize:
         seq = tokenize_and_normalize(_doc("Gust GUST gust gUST"), config)
         assert seq.ids.tolist() == [0, 0, 0, 0]
         assert seq.vocabulary.terms == ["gust"]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(
+            st.one_of(
+                st.characters(exclude_categories=()),  # any code point, lone surrogates too
+                st.sampled_from("abyzABYZ@[`{ \t\n0189.-_"),  # ASCII letters and their neighbours
+            )
+        )
+    )
+    @example(text="café ßtraße ſtar \u212aelvin \uff21wide")  # non-ASCII letters end a run
+    @example(text="wind42gust, rain–cloud 7! x_y")  # digits and punctuation
+    @example(text="Storm\ud800wind")  # a lone surrogate
+    def test_tokens_are_the_lowercased_ascii_letter_runs(self, text):
+        config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
+        terms = tokenize_and_normalize(_doc(text), config).terms
+        assert list(terms) == [t.lower() for t in re.findall(r"[A-Za-z]+", text)]
+
+    def test_lone_surrogate_ends_a_token(self):
+        config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
+        assert tokenize_and_normalize(_doc("Storm\ud800wind"), config).terms == ("storm", "wind")
 
 
 class TestSegmentWindows:
@@ -381,6 +407,33 @@ class TestBundledCorpus:
             first = sum(-(-len(d) // 5) for d in before)
             tiles = _tiles(topic.windows(5))
             assert tiles[first + facts["planted_window_index"]] == facts["planted_terms"]
+
+    def test_generator_script_reproduces_the_bundled_corpus(self, tmp_path):
+        # run scripts/make_synthetic_corpus.py on a copy of the tree, with no
+        # corpus files, and compare what it writes with the committed files
+        repo = Path(__file__).resolve().parents[1]
+        shutil.copytree(repo / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(repo / "scripts", tmp_path / "scripts")
+        (tmp_path / "tests").mkdir()
+        shutil.copy(repo / "tests" / "oracles.py", tmp_path / "tests")
+        corpus_dir = Path("src") / "entangletext" / "data" / "corpus"
+        shutil.rmtree(tmp_path / corpus_dir)
+
+        proc = subprocess.run(
+            [sys.executable, "scripts/make_synthetic_corpus.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+        def files(root):
+            return {p.name: p.read_bytes() for p in sorted((root / corpus_dir).iterdir())}
+
+        committed = files(repo)
+        assert len(committed) == 25  # 24 documents and the manifest
+        assert files(tmp_path) == committed
+        facts = Path("tests") / "data" / "planted_facts.json"
+        assert (tmp_path / facts).read_bytes() == (repo / facts).read_bytes()
 
 
 def test_default_stoplist_is_normalized():

@@ -1,6 +1,7 @@
 """Stemmer checks against an independently written reference implementation."""
 
 import random
+import string
 
 import pytest
 
@@ -59,22 +60,46 @@ def test_short_words_are_still_stemmed():
     assert stem("") == ""
 
 
+# the suffixes of the step 2, 3 and 4 rule lists
+RULE_SUFFIXES = [
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli", "eli",
+    "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
+    "ousness", "aliti", "iviti", "biliti", "icate", "ative", "alize",
+    "iciti", "ical", "ful", "ness", "al", "ance", "ence", "er", "ic",
+    "able", "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism",
+    "ate", "iti", "ous", "ive", "ize",
+]
+
+
 def test_agreement_with_reference_on_generated_words():
     rng = random.Random(20240811)
     letters = "abcdefghilmnoprstuvwxyz"
-    suffixes = [
-        "", "s", "es", "ies", "sses", "ed", "eed", "ing", "y", "ational",
-        "tional", "enci", "anci", "izer", "abli", "alli", "entli", "eli",
-        "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
-        "ousness", "aliti", "iviti", "biliti", "icate", "ative", "alize",
-        "iciti", "ical", "ful", "ness", "al", "ance", "ence", "er", "ic",
-        "able", "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism",
-        "ate", "iti", "ous", "ive", "ize", "e", "ll",
-    ]
+    suffixes = ["", "s", "es", "ies", "sses", "ed", "eed", "ing", "y", *RULE_SUFFIXES, "e", "ll"]
     for _ in range(20000):
         base = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
         word = base + rng.choice(suffixes)
         assert stem(word) == porter_reference(word), word
+
+
+def test_rule_suffixes_alone_and_behind_short_stems():
+    # words equal to a suffix, or one or two letters longer: the suffix
+    # lookup then slices past the start of the word
+    letters = string.ascii_lowercase
+    stems = ["", *letters, *(a + b for a in letters for b in letters)]
+    for suffix in RULE_SUFFIXES:
+        for base in stems:
+            word = base + suffix
+            assert stem(word) == porter_reference(word), word
+
+
+def test_long_y_runs():
+    # each y is a vowel or a consonant by the class of the letter before it,
+    # so the class of the last y depends on the whole run
+    for run in (1, 2, 3, 50, 1200, 1201):
+        for before in ("", "a", "b", "ab"):
+            for after in ("", "s", "ed", "ing", "ational", "ement", "e", "l"):
+                word = before + "y" * run + after
+                assert stem(word) == porter_reference(word), (before, run, after)
 
 
 def test_agreement_with_reference_on_corpus_vocabulary(bundled_topics):

@@ -418,6 +418,27 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_token_with_a_long_y_run_is_analyzed(self, tmp_path, subprocess_env):
+        # the stemmer classifies each y by the letter before it; a run of
+        # 1,200 y's must not exhaust the interpreter's recursion limit
+        words = " ".join(_WORDS[:12])
+        (tmp_path / "a.txt").write_text(f"{words} {'y' * 1200}ing {words}", encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"topics": [{"topic_id": "t", "documents": [{"doc_id": "a", "path": "a.txt"}]}]}),
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "entangletext", "analyze", str(manifest),
+             "--out", str(tmp_path / "out"), "--window", "5", "--k", "4"],
+            env=subprocess_env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "out" / "summary_frequency.csv").exists()
+
     def test_non_integer_thread_cap_rejected_before_analyze_reads(
         self, tmp_path, capsys, monkeypatch
     ):
