@@ -98,7 +98,6 @@ class TestTokenizeAndNormalize:
         assert seq.ids.tolist() == [0, 0, 0, 0]
         assert seq.vocabulary.terms == ["gust"]
 
-
     @settings(max_examples=300, deadline=None)
     @given(
         text=st.text(
@@ -115,10 +114,6 @@ class TestTokenizeAndNormalize:
         config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
         terms = tokenize_and_normalize(_doc(text), config).terms
         assert list(terms) == [t.lower() for t in re.findall(r"[A-Za-z]+", text)]
-
-    def test_lone_surrogate_ends_a_token(self):
-        config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
-        assert tokenize_and_normalize(_doc("Storm\ud800wind"), config).terms == ("storm", "wind")
 
 
 class TestSegmentWindows:
