@@ -36,30 +36,41 @@ expressions on Python ints. The argmax is the first split pair, row
 split major, whose exact maximum is largest, then the first of its
 partition pairs in enumerate_partitions() order that attains it.
 
-Clear verdicts are decided in float64 by the same split-pair rule:
-``_FloatVerdict`` for the simulator's matrices, and
-``entanglement_proportion`` for the subset pairs that survive its prune.
-``_band_verdict`` calls a float maximum of |S| violated above 2 + 1e-9
-and close within 1e-9 of 2, and the kernel re-decides the close ones.
-A verdict outside the band is exact for any non-negative int64 counts:
+Clear verdicts are decided in floats by the same split-pair rule:
+``_FloatVerdict`` in float32 for the simulator's matrices, and
+``entanglement_proportion`` in float64 for the subset pairs that survive
+its prune. ``_band_verdict`` calls a float maximum of |S| violated above
+2 + band and close within the band of 2, and the kernel re-decides the
+close ones. The band is 1e-9 in float64 and 2**-16 in float32. A verdict
+outside the band is exact for any non-negative int64 counts; with u the
+unit roundoff, 2**-53 in float64 and 2**-24 in float32:
 
-- Each count converts to float64 within a relative 2**-53, and each of
-  the three additions or subtractions that form a block's numer, or its
-  denom, adds at most 2**-53 times a magnitude no larger than the exact
-  block sum d. So the float numer and denom are within a few 2**-53 d of
-  the exact ones, denom is zero only for an empty block, and since
-  |numer| <= d, every float x = numer / denom is within a few 2**-53 of
-  the exact x. (While d <= 2**53 the sums are exact and only the
+- Each count converts within a relative u, and each of the three
+  additions or subtractions that form a block's numer, or its denom,
+  adds at most u times a magnitude no larger than the exact block sum d.
+  So the float numer and denom are within about 3u d of the exact ones,
+  denom is zero only for an empty block, and since |numer| <= d, every
+  float x = numer / denom is within about 7u of the exact x: 6u from
+  the inputs of the division and u from its rounding. (While d is at
+  most 2**53, or 2**24 in float32, the sums are exact and only the
   division rounds.)
-- So are |x|, sum|x| and min|x|. Where the float signs give the parity
-  of the negative x wrongly, some x lies within that error of 0, so the
+- So is |x|, and so is min|x|, which does not round. The float sum|x|
+  of four adds 4 x 7u from the x and at most 2u, 2u and 4u from its
+  three roundings, so it is within 36u. Where the float signs give the
+  parity of the negative x wrongly, some x lies within 7u of 0, so the
   exact and float min|x| do too, and both rules, sum|x| - 2 min|x| and
-  sum|x|, then agree within a few 2**-53.
-- |x| <= 1, so the float best of each split pair, and so their maximum,
-  is within about 1e-14 of the exact maximum, far inside the 1e-9 band.
-  A float maximum above 2 + 1e-9 therefore proves a violation and one
-  below 2 - 1e-9 proves none; exact ties at |S| = 2 always land in the
-  band.
+  sum|x|, then agree within 14u. Either way the float best of a split
+  pair is within 36u + 14u + 4u, the last for the rounding of the
+  subtraction, so within 54u plus terms of order u**2; call it 60u.
+- The maximum over split pairs does not round, so it too is within 60u
+  of the exact maximum: 7e-15 in float64, far inside the 1e-9 band, and
+  3.6e-6 in float32, under half the 2**-16 (1.5e-5) band. A float
+  maximum above 2 + band therefore proves a violation and one below
+  2 - band proves none; exact ties at |S| = 2 always land in the band.
+  In float32 the comparisons round nothing: the band is a power of two,
+  so 2 + band is exact, and so is top - 2 for any float maximum top in
+  [1, 4] (Sterbenz). In float64, rounding 2 + 1e-9 moves it by at most
+  2**-52.
 
 Every block layout numbers the pairs of n indices in combinations(range(n),
 2) order. Of the six pairs of four indices (``_PAIRS``), pairs s and 5 - s
@@ -370,22 +381,23 @@ def _block_terms(f, total, diff, numer, denom) -> None:
         np.add(total[:, c1], total[:, c2], out=denom[:, q])
 
 
-def _band_verdict(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(violated, close): float maxima of |S| above 2 + 1e-9, and within 1e-9 of 2."""
-    return top > VIOLATION_BOUND + _FLOAT_BAND, np.abs(top - VIOLATION_BOUND) <= _FLOAT_BAND
+def _band_verdict(top: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """(violated, close): float maxima of |S| above 2 + band, and within band of 2."""
+    return top > VIOLATION_BOUND + band, np.abs(top - VIOLATION_BOUND) <= band
 
 
 class _FloatVerdict:
-    """Float verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
+    """Float32 verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
 
     Calling it on an (n, 4, 4) array of non-negative integer counts, n <=
     capacity, returns boolean arrays (violated, close): ``violated`` where
-    the float maximum of |S| is above 2 + 1e-9, ``close`` where it is within
-    1e-9 of 2 (``_band_verdict``). Outside the band the verdict is exact;
+    the float maximum of |S| is above 2 + BAND, ``close`` where it is within
+    BAND of 2 (``_band_verdict``). Outside the band the verdict is exact;
     only ``close`` matrices need ``chsh_max_abs_batch``. Every call writes
-    into float64 buffers allocated once here, so one instance serves every
-    chunk of a sampling run with no temporaries larger than its two
-    results; an instance must not be shared between threads.
+    into float32 buffers allocated once here, the first by a copy that
+    transposes the counts and rounds them to float32, so one instance
+    serves every chunk of a sampling run with no temporaries larger than
+    its two results; an instance must not be shared between threads.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
@@ -397,16 +409,19 @@ class _FloatVerdict:
     integers. An empty block gives x = 0/0 = NaN, so its split pair is NaN,
     and the maximum over the nine split pairs is taken with fmax, which
     never picks NaN: a matrix whose split pairs are all skipped is neither
-    violated nor close. The module docstring proves the verdict outside
-    the band exact.
+    violated nor close. The module docstring proves the float32 best |S|
+    within 60 x 2**-24 (3.6e-6) of the exact one at any count size, so the
+    verdict outside BAND, over four times that, is exact.
     """
 
+    BAND = 2.0**-16
+
     def __init__(self, capacity: int):
-        self._counts = np.empty((4, 4, capacity))
-        self._sums = np.empty((2, 6, 4, capacity))  # row-pair sums, differences
-        self._blocks = np.empty((2, 6, 6, capacity))  # numer then x, denom then |x|
+        self._counts = np.empty((4, 4, capacity), np.float32)
+        self._sums = np.empty((2, 6, 4, capacity), np.float32)  # row-pair sums, differences
+        self._blocks = np.empty((2, 6, 6, capacity), np.float32)  # numer then x, denom then |x|
         self._negative = np.empty((6, 6, capacity), dtype=bool)
-        self._halves = np.empty((2, 3, 6, capacity))  # sum and min of two halves
+        self._halves = np.empty((2, 3, 6, capacity), np.float32)  # sum and min of two halves
         self._odd = np.empty((3, 6, capacity), dtype=bool)
 
     def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +449,7 @@ class _FloatVerdict:
         lowest *= even
         lowest *= 2.0
         best -= lowest
-        return _band_verdict(np.fmax.reduce(best, axis=(0, 1)))
+        return _band_verdict(np.fmax.reduce(best, axis=(0, 1)), self.BAND)
 
 
 def _partition_pair(index: int) -> tuple[Partition, Partition]:
@@ -563,7 +578,7 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         np.maximum.at(top, i // 3 * n_cs + j // 3, best)
         pairs = np.flatnonzero(top > VIOLATION_BOUND - _FLOAT_BAND)
         top = top[pairs]
-        violated, close = _band_verdict(top)
+        violated, close = _band_verdict(top, _FLOAT_BAND)
         n_violated = int(violated.sum())
         n_entangled += n_violated
         to_kernel = close

@@ -33,7 +33,8 @@ _MAX_GRID_POINTS = 10_000
 def _parse_grid(text: str) -> list[float]:
     """start:stop:step, inclusive of stop (within 1e-9 of a step); every
     point is rounded to 10 decimals, and the rounded points must be
-    distinct and no greater than stop."""
+    distinct and no greater than stop, with none non-zero before rounding
+    and 0 after it (a zero exponent is another model)."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -51,7 +52,8 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
         )
-    values = [round(start + k * step, 10) for k in range(int(steps) + 1)]
+    points = [start + k * step for k in range(int(steps) + 1)]
+    values = [round(point, 10) for point in points]
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(
             f"grid {text!r} repeats points when rounded to 10 decimals"
@@ -59,6 +61,11 @@ def _parse_grid(text: str) -> list[float]:
     if values[-1] > stop:
         raise argparse.ArgumentTypeError(
             f"grid {text!r} passes its stop when rounded to 10 decimals"
+        )
+    zeroed = [point for point, value in zip(points, values) if point and not value]
+    if zeroed:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} rounds its point {zeroed[0]!r} to 0 at 10 decimals"
         )
     return values
 

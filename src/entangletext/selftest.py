@@ -7,13 +7,16 @@ scan with the full 24 x 24 row/column ordering scan, the subset scan's
 verdicts, sampling-pmf normalization, and the simulator's guide-table
 draw held to ``searchsorted`` on keys at bucket edges and cdf steps. The
 large/small and ordering checks also hold ``chsh_max_abs_batch``, the
-exact kernel behind every verdict, and the float verdict that decides the
-clear ``simulate`` matrices to the exact ordering scan; a matrix the
-float verdict calls close must lie within 1e-9 of |S| = 2, where the
-exact kernel decides it. The scan check holds ``entanglement_proportion``,
-whose floats decide the clear subset pairs, to ``chsh_max_abs_batch`` on
-every subset block of a 6x6 matrix with an exact tie at |S| = 2. The
-partition table used by the canonical side is injectable so a corrupted
+exact kernel behind every verdict, and the float32 verdict that decides
+the clear ``simulate`` matrices to the exact ordering scan; a matrix the
+float verdict calls close must lie within its band (``_FloatVerdict.BAND``)
+of |S| = 2, where the exact kernel decides it. The scan check holds
+``entanglement_proportion``, whose floats decide the clear subset pairs,
+to ``chsh_max_abs_batch`` on every subset block of a 6x6 matrix. The
+ordering check's matrices include an exact tie at |S| = 2 that reads
+2 + 2**-22 in float32, and the scan check's matrix one that reads
+2 + 2**-51 in float64, so each float verdict passes only with its band.
+The partition table used by the canonical side is injectable so a corrupted
 table is detectable (negative control in the test suite).
 """
 
@@ -26,6 +29,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from . import chsh
 from .chsh import SubMatrix, canonical_partitions, chsh_statistic, enumerate_partitions
 from .chsh import _FloatVerdict, chsh_max_abs_batch, entanglement_proportion, expected_value
 from .cooccurrence import CoocMatrix
@@ -76,9 +80,13 @@ _LARGE_SMALL = np.array(
 )
 
 
-# max |S| is exactly 2 but reads 2 + 2**-51 in floats: the float verdict must
-# leave it to the exact kernel
+# max |S| is exactly 2 but reads 2 + 2**-51 in float64: the scan must leave
+# it to the exact kernel
 _EXACT_TIE = np.array([[10, 1, 8, 2], [9, 1, 8, 11], [2, 1, 9, 7], [10, 10, 0, 3]])
+
+# max |S| is exactly 2 but reads 2 + 2**-22 in float32: the float verdict
+# must leave it to the exact kernel
+_FLOAT32_TIE = np.array([[6, 1, 0, 0], [8, 1, 0, 2], [3, 9, 3, 9], [1, 4, 0, 10]])
 
 
 def _submatrix(counts) -> SubMatrix:
@@ -126,9 +134,10 @@ def _batch_mismatch(counts, full_abs, full_skipped) -> str | None:
         return "batch kernel skip count differs from the exact scan"
     violated, close = _FloatVerdict(1)(np.asarray(counts)[None])
     distance = abs(float(want) - 2)
-    if close[0] and (violated[0] or distance > 1e-9 + 1e-12):
+    band = chsh._FloatVerdict.BAND  # the package's band, even under a test's fake verdict
+    if close[0] and (violated[0] or distance > band + 1e-12):
         return f"float verdict calls max |S| {float(want)!r} close to 2"
-    if not close[0] and (violated[0] != (want > 2) or distance < 1e-9 - 1e-12):
+    if not close[0] and (violated[0] != (want > 2) or distance < band - 1e-12):
         return f"float verdict decides max |S| {float(want)!r} wrongly"
     return None
 
@@ -159,7 +168,7 @@ def _check_large_small(partition_pairs) -> CheckResult:
 
 def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
     matrices = [rng.integers(0, 21, size=(4, 4)) for _ in range(_N_MATRICES)]
-    for k, counts in enumerate(matrices + [_EXACT_TIE]):
+    for k, counts in enumerate(matrices + [_EXACT_TIE, _FLOAT32_TIE]):
         canonical_abs, canonical_skipped = _canonical_scan(counts, partition_pairs)
         full_abs, full_skipped = _ordering_scan(counts.tolist())
         want = np.repeat(np.sort(canonical_abs), 4)
@@ -175,7 +184,7 @@ def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
     return CheckResult(
         "ordering equivalence",
         True,
-        f"{_N_MATRICES} matrices and an exact tie at |S| = 2, 576 vs 144 orderings",
+        f"{_N_MATRICES} matrices and two exact ties at |S| = 2, 576 vs 144 orderings",
     )
 
 

@@ -9,11 +9,14 @@ clipped to B, for every uniform key u, through a guide table
 exact bucket, the bucket edges are decided by the same ``searchsorted``,
 and only keys in buckets that straddle a cdf step fall back to it.
 
-Matrices are sampled and decided in chunks: a float verdict
+Matrices are sampled and decided in chunks: a float32 verdict
 (``chsh._FloatVerdict``) decides every matrix whose float maximum of |S|
-lies more than 1e-9 from 2, where its rounding error cannot change the
-answer, and only the matrices inside that band go through the exact
-``chsh_max_abs_batch``, so every count is exact. The buffers of the
+lies more than its band, 2**-16, from 2, where its rounding error cannot
+change the answer. Only the matrices inside that band go through the
+exact ``chsh_max_abs_batch``, so every count is exact. They are few (a
+few hundred in the 800,000 matrices of the default figure sweep), so
+each estimate collects them over its chunks and re-decides them in
+batches of at most one chunk, not once per chunk. The buffers of the
 uniforms, the draw and the verdict are allocated once per estimate and
 reused by every chunk.
 
@@ -47,12 +50,15 @@ __all__ = [
     "parameter_sweep",
 ]
 
-# Matrices per sampling chunk; the reused buffers take about 1.8 KB per
-# matrix. On the default 80-point figure sweep (2 vCPUs, median of 5
-# alternating fresh-interpreter runs), 2,048 took 0.48 s on two threads
-# against 0.67, 0.53 and 0.59 s for 1,024, 4,096 and 8,192, with peak RSS
-# 41, 45, 52 and 66 MB for the four sizes; on one thread 1,024 to 4,096
-# ran within noise (0.78-0.83 s) and 8,192 took 1.01 s.
+# Matrices per sampling chunk; the reused buffers take about 1.1 KB per
+# matrix, 0.7 KB of it the verdict's float32 buffers, and the close
+# matrices awaiting the exact kernel at most 128 bytes more. With the
+# float64 verdict (1.8 KB per matrix), on the default 80-point figure
+# sweep (2 vCPUs, median of 5 alternating fresh-interpreter runs), 2,048
+# took 0.48 s on two threads against 0.67, 0.53 and 0.59 s for 1,024,
+# 4,096 and 8,192, with peak RSS 41, 45, 52 and 66 MB for the four sizes;
+# on one thread 1,024 to 4,096 ran within noise (0.78-0.83 s) and 8,192
+# took 1.01 s.
 _SAMPLE_CHUNK = 2048
 
 # the zipf grid of the paper's figure: 0.1, 0.2, ..., 2.0
@@ -198,6 +204,12 @@ class _InverseCdfDraw:
         return out.reshape(uniforms.shape)
 
 
+def _exact_violations(matrices: list[np.ndarray]) -> int:
+    """How many matrices of the listed (n, 4, 4) count batches violate, decided exactly."""
+    max_abs, _, _ = chsh_max_abs_batch(np.concatenate(matrices))
+    return int(np.count_nonzero(max_abs > VIOLATION_BOUND))
+
+
 def estimate_violation_probability(
     spec: DistributionSpec, n_samples: int, seed: int
 ) -> ViolationEstimate:
@@ -205,8 +217,9 @@ def estimate_violation_probability(
 
     Fully determined by (spec, n_samples, seed); sampling is chunked but the
     uniform stream, and hence the estimate, is independent of chunk size.
-    The float verdict decides each chunk's clear matrices, and
-    ``chsh_max_abs_batch`` re-decides only those within 1e-9 of |S| = 2.
+    The float32 verdict decides each chunk's clear matrices, and
+    ``chsh_max_abs_batch`` re-decides only those within its band of |S| =
+    2, collected over the chunks and passed at most ``chunk`` at a time.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
@@ -218,16 +231,24 @@ def estimate_violation_probability(
     draw = _InverseCdfDraw(cdf, uniforms.size)
     verdict = _FloatVerdict(chunk)
     n_violations = 0
+    band: list[np.ndarray] = []  # copies of the close matrices, at most chunk
+    n_band = 0
     remaining = n_samples
     while remaining > 0:
         take = min(remaining, chunk)
         draws = draw(rng.random(out=uniforms[:take]))
         violated, close = verdict(draws)
-        n_violations += int(violated.sum())
-        if close.any():
-            max_abs, _, _ = chsh_max_abs_batch(draws[close])
-            n_violations += int((max_abs > VIOLATION_BOUND).sum())
+        n_violations += int(np.count_nonzero(violated))
+        n_close = int(np.count_nonzero(close))
+        if n_close:
+            if n_band + n_close > chunk:
+                n_violations += _exact_violations(band)
+                band, n_band = [], 0
+            band.append(draws[close])
+            n_band += n_close
         remaining -= take
+    if band:
+        n_violations += _exact_violations(band)
     p_hat = n_violations / n_samples
     return ViolationEstimate(
         spec=spec,

@@ -412,20 +412,21 @@ class TestBatchKernel:
 
 def _assert_float_verdict(matrices):
     """The float verdict against the exact kernel: exact outside the band,
-    and the band holds only maxima within 1e-9 of 2."""
+    and the band holds only maxima within ``_FloatVerdict.BAND`` of 2."""
     matrices = np.asarray(matrices, dtype=np.int64)
     violated, close = chsh._FloatVerdict(len(matrices))(matrices)
     max_abs = chsh_max_abs_batch(matrices)[0]
     assert not (violated & close).any()
     assert (violated == (max_abs > 2))[~close].all()
-    assert (np.abs(max_abs[close] - 2) <= 1e-9).all()
+    assert (np.abs(max_abs[close] - 2) <= chsh._FloatVerdict.BAND).all()
     return violated, close
 
 
 # maximum |S| exactly 2: the first reaches it with S = +2, the second reads
-# 2 + 2**-51 in the float verdict
+# 2 + 2**-51 in float64, the third 2 + 2**-22 in the float32 verdict
 _EXACT_TIE = np.array([[9, 1, 1, 7], [6, 1, 1, 2], [8, 4, 8, 1], [2, 1, 6, 6]])
 _FLOAT_ABOVE_TIE = np.array([[10, 1, 8, 2], [9, 1, 8, 11], [2, 1, 9, 7], [10, 10, 0, 3]])
+_FLOAT32_ABOVE_TIE = np.array([[6, 1, 0, 0], [8, 1, 0, 2], [3, 9, 3, 9], [1, 4, 0, 10]])
 _PAIRS_OF_FOUR = list(combinations(range(4), 2))
 
 
@@ -459,6 +460,29 @@ class TestFloatVerdict:
         matrices = np.array(flat[: len(flat) // 16 * 16], dtype=np.int64).reshape(-1, 4, 4)
         _assert_float_verdict(matrices)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        flat=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(2**24 + 1, 2**61)), min_size=16, max_size=128
+        )
+    )
+    def test_counts_not_exact_in_float32(self, flat):
+        # most counts above 2**24 round when converted to float32
+        matrices = np.array(flat[: len(flat) // 16 * 16], dtype=np.int64).reshape(-1, 4, 4)
+        _assert_float_verdict(matrices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_ties_moved_off_2_at_the_2_56_scale(self, data, n):
+        # entries in {0, 1, 2} put many maxima exactly on 2; times 2**56 plus an
+        # offset of 0-3 per entry, the exact maxima move off 2 by under 1e-15
+        # and the float32 counts lose the offsets
+        size = 16 * n
+        base = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        offset = data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        matrices = np.array(base, dtype=np.int64) * 2**56 + np.array(offset, dtype=np.int64)
+        _assert_float_verdict(matrices.reshape(n, 4, 4))
+
     @settings(max_examples=50, deadline=None)
     @given(
         scale=st.integers(1, 10**12),
@@ -468,7 +492,7 @@ class TestFloatVerdict:
     )
     def test_exact_ties_land_in_the_band(self, scale, rows, cols, transpose):
         ties = []
-        for tie in (_EXACT_TIE, _FLOAT_ABOVE_TIE, _boundary_block()):
+        for tie in (_EXACT_TIE, _FLOAT_ABOVE_TIE, _FLOAT32_ABOVE_TIE, _boundary_block()):
             tie = tie[np.ix_(rows, cols)] * scale
             ties.append(tie.T if transpose else tie)
         violated, close = _assert_float_verdict(ties)
@@ -480,7 +504,8 @@ class TestFloatVerdict:
         row_p, col_p = evaluation.argmax
         assert chsh_statistic(_sub(_EXACT_TIE), row_p, col_p) == 2.0
         assert max_abs_all_orderings(_FLOAT_ABOVE_TIE.tolist()) == 2
-        violated, close = _assert_float_verdict([_EXACT_TIE, _FLOAT_ABOVE_TIE])
+        assert max_abs_all_orderings(_FLOAT32_ABOVE_TIE.tolist()) == 2
+        violated, close = _assert_float_verdict([_EXACT_TIE, _FLOAT_ABOVE_TIE, _FLOAT32_ABOVE_TIE])
         assert close.all() and not violated.any()
 
     def test_buffers_are_reused_across_batch_sizes(self):

@@ -615,28 +615,40 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "grid, problem",
+        "kind, flag, grid, problem",
         [
-            ("0:1e-12:1e-13", "repeats points when rounded to 10 decimals"),
-            ("0.5:0.5000000000001:0.00000000000001", "repeats points when rounded to 10 decimals"),
-            ("0:0.00000000006:0.00000000006", "passes its stop when rounded to 10 decimals"),
-            ("0:1e12:1", "has more than 10000 points"),
+            ("zipf", "--lambda-grid", "0:1e-12:1e-13",
+             "repeats points when rounded to 10 decimals"),
+            ("zipf", "--lambda-grid", "0.5:0.5000000000001:0.00000000000001",
+             "repeats points when rounded to 10 decimals"),
+            ("zipf", "--lambda-grid", "0:0.00000000006:0.00000000006",
+             "passes its stop when rounded to 10 decimals"),
+            ("zipf", "--lambda-grid", "0:1e12:1", "has more than 10000 points"),
+            # rounded to 0, the exponent would run the homogeneous model and
+            # the mean would be rejected as a 0.0 the user never gave
+            ("zipf", "--lambda-grid", "1e-11:1e-11:1",
+             "rounds its point 1e-11 to 0 at 10 decimals"),
+            ("poisson", "--mu-grid", "1e-300:1e-300:1",
+             "rounds its point 1e-300 to 0 at 10 decimals"),
         ],
-        ids=["repeats-below-step", "repeats-at-half", "passes-stop", "too-many-points"],
+        ids=["repeats-below-step", "repeats-at-half", "passes-stop", "too-many-points",
+             "exponent-rounds-to-zero", "mean-rounds-to-zero"],
     )
-    def test_degenerate_grid_usage_error(self, grid, problem, tmp_path, capsys, monkeypatch):
+    def test_degenerate_grid_usage_error(
+        self, kind, flag, grid, problem, tmp_path, capsys, monkeypatch
+    ):
         def must_not_run(*args, **kwargs):
             raise AssertionError("a sweep ran on a degenerate grid")
 
         monkeypatch.setattr(report, "parameter_sweep", must_not_run)
         out = tmp_path / "c.csv"
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", f"--lambda-grid={grid}", "--B", "10", "--samples", "10",
+            main(["simulate", "--kind", kind, f"{flag}={grid}", "--B", "10", "--samples", "10",
                   "--out", str(out)])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if "error:" in line] == [
-            f"entangletext simulate: error: argument --lambda-grid: grid {grid!r} {problem}"
+            f"entangletext simulate: error: argument {flag}: grid {grid!r} {problem}"
         ]
         assert "Traceback" not in err
         assert not out.exists()

@@ -80,6 +80,17 @@ def test_scan_without_the_band_fails(monkeypatch, capsys):
     assert "FAIL  scan verdicts" in capsys.readouterr().out
 
 
+def test_verdict_without_the_band_fails(monkeypatch, capsys):
+    # with no band the float32 verdict calls the exact tie that reads
+    # 2 + 2**-22 a violation
+    monkeypatch.setattr(chsh._FloatVerdict, "BAND", 0.0)
+    by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
+    assert not by_name["ordering equivalence"].passed
+    assert "float verdict decides" in by_name["ordering equivalence"].detail
+    assert main(["selftest"]) == 3
+    assert "FAIL  ordering equivalence" in capsys.readouterr().out
+
+
 def test_inexact_inverse_cdf_draw_fails(monkeypatch):
     # a draw that never falls back to searchsorted misplaces keys in
     # buckets that straddle a cdf step

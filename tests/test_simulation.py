@@ -226,6 +226,32 @@ class TestEstimates:
         if spec.support_bound == 2000:
             assert draws.max() >= 1722  # 4 x 1722 reaches the int64 bound of 6888
 
+    def test_band_goes_to_the_kernel_in_batches_of_at_most_a_chunk(self, monkeypatch):
+        import entangletext.simulation as sim
+
+        spec = DistributionSpec.zipf(1.1, 100)
+        n_samples = 2 * sim._SAMPLE_CHUNK + 777
+        want = estimate_violation_probability(spec, n_samples, 3)
+
+        class EveryMatrixClose:
+            def __init__(self, capacity):
+                pass
+
+            def __call__(self, counts):
+                return np.zeros(len(counts), dtype=bool), np.ones(len(counts), dtype=bool)
+
+        sizes = []
+
+        def kernel(matrices):
+            sizes.append(len(matrices))
+            return chsh_max_abs_batch(matrices)
+
+        monkeypatch.setattr(sim, "_FloatVerdict", EveryMatrixClose)
+        monkeypatch.setattr(sim, "chsh_max_abs_batch", kernel)
+        assert estimate_violation_probability(spec, n_samples, 3) == want
+        assert sum(sizes) == n_samples
+        assert max(sizes) <= sim._SAMPLE_CHUNK
+
     def test_std_err_formula(self):
         spec = DistributionSpec.zipf(0.7, 50)
         est = estimate_violation_probability(spec, 1500, 4)
