@@ -124,10 +124,16 @@ _FLOAT_BAND = 1e-9
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
 _DENOMINATOR_LIMIT = 6888
 
-# Subset pairs per chunk of the full-matrix scan, rounded to whole rows of
-# row subsets (at least one); 4x larger chunks nearly triple peak memory
-# and save under a tenth of the bundled scan time.
+# Subset pairs per chunk of the subset scan when nothing is pruned, rounded
+# to whole rows of row subsets (at least one); 4x larger chunks nearly
+# triple peak memory and save under a tenth of the bundled scan time. A
+# chunk of pruned splits takes as many whole live row subsets as keep its
+# arrays within those of an unpruned chunk.
 _SCAN_CHUNK = 4096
+
+# Subset pairs per exact kernel call of the scan; the kernel's temporaries
+# take about 3.5 KB per matrix, so a call stays under 1 MB.
+_KERNEL_BATCH = 256
 
 
 def _half(split: int, half: int) -> tuple[int, int]:
@@ -333,7 +339,8 @@ def _split_kernel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     cols = np.arange(len(blocks))
     top = value[split, cols]
     tied = np.flatnonzero((value == top).sum(axis=0) > 1)
-    split[tied] = _first_exact_max(best[:, tied], common[:, tied])
+    if len(tied):
+        split[tied] = _first_exact_max(best[:, tied], common[:, tied])
 
     best, common = best[split, cols], common[split, cols]
     # S * D of the 16 partition pairs of each chosen split pair
@@ -487,6 +494,101 @@ def _split_halves(subsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return number[:, :3].ravel(), number[:, :2:-1].ravel()
 
 
+def _live_side(table: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The splits of one side's 4-subsets that can be live in the scan.
+
+    Pairs of the side number the rows of table (its transpose for the
+    columns), and split 3 x subset + split has halves h0 and h1
+    (``_split_halves``). A split is live when two entries of table[h0] +
+    table[h1] sum above 2 - _FLOAT_BAND, tested on about _SCAN_CHUNK
+    entries at a time. Returns the live splits' halves, the subsets that
+    hold a live split, and each live split's position among those subsets.
+    """
+    live = np.empty(len(h0), dtype=bool)
+    step = max(1, _SCAN_CHUNK // table.shape[1])
+    for first in range(0, len(h0), step):
+        part = slice(first, first + step)
+        v = table[h0[part]] + table[h1[part]]
+        v.partition(-2, axis=1)
+        live[part] = v[:, -1] + v[:, -2] > VIOLATION_BOUND - _FLOAT_BAND
+    splits = np.flatnonzero(live)
+    # sorted, so each subset's first live split starts a new number
+    new = np.ones(len(splits), dtype=bool)
+    np.not_equal(splits[1:] // 3, splits[:-1] // 3, out=new[1:])
+    return h0[splits], h1[splits], splits[new] // 3, np.cumsum(new) - 1
+
+
+class _ExactQueue:
+    """Subset pairs of a scan waiting for ``_split_kernel``.
+
+    ``add`` queues subset pairs by index into the scan, each with its float
+    maximum of |S| and whether it is close; the others are float
+    violations that may rank among the strongest ``top_details``. Once
+    _KERNEL_BATCH pairs are queued they are decided, _KERNEL_BATCH per
+    kernel call, and ``finish`` decides the rest. The queue counts the
+    close pairs that violate in ``n_entangled`` and keeps the exact S,
+    argmax and index of the strongest ``top_details`` violations, ordered by
+    |S| descending, then index.
+    """
+
+    def __init__(self, blocks, top_details: int):
+        self._blocks = blocks  # subset-pair indices -> (n, 4, 4) counts
+        self._top_details = top_details
+        self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queued = 0
+        self._strongest = np.empty(0)  # the largest top_details float |S| seen
+        self._floor = -np.inf
+        self.n_entangled = 0
+        self.index = np.empty(0, dtype=np.int64)
+        self.signed = np.empty(0)
+        self.argmax = np.empty(0, dtype=np.int64)
+
+    def raise_floor(self, tops: np.ndarray) -> float:
+        """Take in float |S| of violations; return the floor.
+
+        The floor is the top_details-th largest float |S| taken in so far,
+        less _FLOAT_BAND, or -inf while fewer have been taken in.
+        """
+        known = np.concatenate([self._strongest, tops])
+        if len(known) > self._top_details:
+            known = np.partition(known, -self._top_details)[-self._top_details:]
+        self._strongest = known
+        if len(known) == self._top_details:
+            self._floor = known.min() - _FLOAT_BAND
+        return self._floor
+
+    def add(self, index: np.ndarray, close: np.ndarray, tops: np.ndarray) -> None:
+        self._queue.append((index, close, tops))
+        self._queued += len(index)
+        if self._queued >= _KERNEL_BATCH:
+            self._decide(everything=False)
+
+    def finish(self) -> None:
+        if self._queued:
+            self._decide(everything=True)
+
+    def _decide(self, everything: bool) -> None:
+        """Decide the queued pairs in full batches, or all of them."""
+        index, close, tops = (np.concatenate(column) for column in zip(*self._queue))
+        # the floor may have risen past candidates queued before it did
+        kept = close | (tops >= self._floor)
+        index, close, tops = index[kept], close[kept], tops[kept]
+        n = len(index) if everything else len(index) - len(index) % _KERNEL_BATCH
+        self._queue, self._queued = [(index[n:], close[n:], tops[n:])], len(index) - n
+        for first in range(0, n, _KERNEL_BATCH):
+            part = slice(first, min(n, first + _KERNEL_BATCH))
+            signed, argmax, _ = _split_kernel(self._blocks(index[part]))
+            violates = np.abs(signed) > VIOLATION_BOUND
+            self.n_entangled += int((violates & close[part]).sum())
+            if self._top_details > 0:
+                self.index = np.concatenate([self.index, index[part][violates]])
+                self.signed = np.concatenate([self.signed, signed[violates]])
+                self.argmax = np.concatenate([self.argmax, argmax[violates]])
+                keep = np.lexsort((self.index, -np.abs(self.signed)))[: self._top_details]
+                self.index, self.signed, self.argmax = (
+                    self.index[keep], self.signed[keep], self.argmax[keep])
+
+
 def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> ProportionReport:
     """Scan every pair of 4-term subsets of the concept terms.
 
@@ -501,9 +603,8 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     subset pair whose nine split pairs all have sum|x| <= 2 cannot violate.
     The scan takes x = numer / denom from one table over (row pair, column
     pair) blocks, built by ``_block_terms`` in the module docstring's pair
-    numbering, and sums |x| for every split pair of about _SCAN_CHUNK
-    subset pairs at a time, so memory stays bounded as k grows. The prune
-    cannot drop a violation:
+    numbering, and its bound on a split pair is the float sum|x| of the
+    table's |x|. The bound cannot drop a violation:
 
     - Each float |x| is within a few 2**-53 of the exact one at any count
       size (module docstring), so a float sum of four is within about
@@ -511,18 +612,44 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     - An empty block has |x| = -inf, so its split pair sums to -inf and
       never survives; ``_split_kernel`` skips such split pairs too.
 
-    The split pairs above 2 - 1e-9 are live. Each takes its four signed x
-    from the table and its float best |S| by the module docstring's rule.
+    The bound is applied at two levels. First to whole splits: for a row
+    split, v = |x| of half 0 plus |x| of half 1, one entry per column
+    pair, and the bound on the row split with any column split is v[q] +
+    v[q'] for that column split's two halves q and q', two distinct column
+    pairs. It is therefore at most the sum of the two largest entries of v
+    (float addition is monotone), so a row split whose two largest entries
+    sum to 2 - 1e-9 or less has no split pair above 2 - 1e-9. The same
+    test on the per-row-pair sums of a column split's two halves prunes
+    column splits; it adds the same four |x| in another order, so its
+    float sum is also within about 1e-14 of the exact sum|x|, and a split
+    pair it prunes has exact sum|x| below 2 and cannot violate. Dropping
+    such a split pair changes no subset pair's verdict: the other split
+    pairs decide as before, and a maximum it alone would have put in the
+    band the kernel would have found below 2. An empty block keeps -inf
+    in v. Both tests run on about _SCAN_CHUNK entries of v at a time.
+
+    Then the scan sums |x| only for the live row splits against the live
+    column splits, a few live row subsets at a time (``_SCAN_CHUNK``): a
+    chunk holds every live split of each of its row subsets, because a
+    subset pair's maximum is taken over all nine of its split pairs. The
+    split pairs above 2 - 1e-9 are live. Each takes its four signed x from
+    the table and its float best |S| by the module docstring's rule.
     Every other split pair is below 2 - 1e-9, so a subset pair's float
     maximum over its live split pairs decides it as in the module
-    docstring. ``_split_kernel`` sees, on their full 4x4 blocks, only the
-    close subset pairs, which it decides and counts, and the violated ones
-    whose float |S| is at least the ``top_details``-th largest |S| known so
-    far less 1e-9; the known values are the exact ones kept from earlier
-    chunks and this chunk's float ones. Any other violation is weaker than
-    ``top_details`` known ones by more than the float error, so it cannot
-    be reported, and every reported S, argmax and tie rule is the
-    kernel's.
+    docstring.
+
+    ``_split_kernel`` sees, on their full 4x4 blocks, only the close subset
+    pairs, which it decides and counts, and the violated ones whose float
+    |S| is at least the ``top_details``-th largest |S| known so far less
+    1e-9. The known values are floats only, the float maxima of the
+    violations found so far, so this floor is widened by the band: each
+    of the ``top_details`` floats behind it is within about 1e-14 of its
+    pair's exact |S|, so a violation whose float |S| is below the floor is
+    weaker than ``top_details`` others by more than the float error and
+    cannot be reported. The floor only rises; queued candidates it has
+    passed are dropped before the kernel sees them. Every reported S,
+    argmax and tie rule is the kernel's. The pairs are collected over the
+    chunks and decided _KERNEL_BATCH per kernel call (``_ExactQueue``).
 
     Violating pairs are counted per chunk and only the strongest
     ``top_details`` of them are kept, so no array spans all subset pairs.
@@ -536,46 +663,63 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
     sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols))
-    numer, denom = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2))
-    _block_terms(matrix.counts.astype(np.float64), *sums, numer, denom)
+    x, table = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2))
+    _block_terms(matrix.counts.astype(np.float64), *sums, x, table)
+    n_cp = x.shape[1]
+    empty = table == 0
+    # numer becomes x and denom its |x|, -inf for an empty block
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = numer / denom
-    table = np.abs(x)
-    table[denom == 0] = -np.inf
-    row_h0, row_h1 = _split_halves(row_subsets, n_rows)
-    col_h0, col_h1 = _split_halves(col_subsets, n_cols)
-    # offsets of the row halves' rows in the flattened x
-    row_x0, row_x1 = row_h0 * x.shape[1], row_h1 * x.shape[1]
+        np.divide(x, table, out=x)
+    np.abs(x, out=table)
+    table[empty] = -np.inf
+    col_h0, col_h1, col_subset, col_number = _live_side(
+        np.ascontiguousarray(table.T), *_split_halves(col_subsets, n_cols))
+    row_h0, row_h1, row_subset, row_number = _live_side(
+        table, *_split_halves(row_subsets, n_rows))
+    row_start = np.searchsorted(row_number, np.arange(len(row_subset) + 1))
+    n_lcs = max(1, len(col_subset))
+    # an unpruned chunk has step row subsets; the row sums and the bound
+    # together, and the per-subset-pair maxima, stay within its arrays
     step = max(1, _SCAN_CHUNK // n_cs)
+    row_budget = 3 * step * (n_cp + 3 * n_cs) // (n_cp + len(col_h0))
+    subset_budget = max(1, step * n_cs // n_lcs)
 
     n_entangled = 0
-    top_index = np.empty(0, dtype=np.int64)
-    top_signed = np.empty(0)
-    top_argmax = np.empty(0, dtype=np.int64)
-    for first in range(0, len(row_subsets), step):
-        rows = slice(3 * first, 3 * (first + step))
+    exact = _ExactQueue(
+        lambda index: matrix.counts[
+            row_subsets[index // n_cs][:, :, None], col_subsets[index % n_cs][:, None, :]],
+        top_details,
+    )
+    first = 0
+    while first < len(row_subset):
+        last = np.searchsorted(row_start, row_start[first] + row_budget, "right") - 1
+        last = min(max(first + 1, last), first + subset_budget)
+        rows = slice(row_start[first], row_start[last])
+        chunk_first, first = first, last
         # sum|x| of a split pair is u[column half 0] + u[column half 1], where
         # u sums the |x| of the row split's two halves per column pair
-        u = table[row_h0[rows]] + table[row_h1[rows]]
+        h0, h1 = row_h0[rows], row_h1[rows]
+        u = table[h0] + table[h1]
         bound = u[:, col_h0] + u[:, col_h1]
         live = np.flatnonzero(bound > VIOLATION_BOUND - _FLOAT_BAND)
         if not len(live):
             continue
-        # row (row subset, row split) and column (column subset, column split)
-        i, j = np.divmod(live, bound.shape[1])
-        r = i + 3 * first
-        h0, h1 = col_h0[j], col_h1[j]
-        x00, x01 = x.take(row_x0[r] + h0), x.take(row_x0[r] + h1)
-        x10, x11 = x.take(row_x1[r] + h0), x.take(row_x1[r] + h1)
+        # row (live row split) and column (live column split)
+        i, j = np.divmod(live, len(col_h0))
+        x0, x1 = h0[i] * n_cp, h1[i] * n_cp
+        c0, c1 = col_h0[j], col_h1[j]
+        x00, x01 = x.take(x0 + c0), x.take(x0 + c1)
+        x10, x11 = x.take(x1 + c0), x.take(x1 + c1)
         low = np.minimum(np.minimum(np.abs(x00), np.abs(x01)),
                          np.minimum(np.abs(x10), np.abs(x11)))
         # even parity of the negative x, by XOR of sign bits as in _FloatVerdict
         low *= ~((x00 < 0) ^ (x01 < 0) ^ (x10 < 0) ^ (x11 < 0))
         best = bound.take(live)
         best -= 2 * low
-        # float maximum of |S| per subset pair
-        top = np.full(len(bound) // 3 * n_cs, -np.inf)
-        np.maximum.at(top, i // 3 * n_cs + j // 3, best)
+        # float maximum of |S| per (live row subset, live column subset) of the chunk
+        top = np.full((last - chunk_first) * n_lcs, -np.inf)
+        local_rows = row_number[rows] - chunk_first
+        np.maximum.at(top, local_rows[i] * n_lcs + col_number[j], best)
         pairs = np.flatnonzero(top > VIOLATION_BOUND - _FLOAT_BAND)
         top = top[pairs]
         violated, close = _band_verdict(top, _FLOAT_BAND)
@@ -585,25 +729,15 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         if top_details > 0 and n_violated:
             # a violation can rank among the strongest top_details only if its
             # float |S| reaches the top_details-th largest known |S|, less the band
-            known = np.concatenate([np.abs(top_signed), top[violated]])
-            floor = -np.inf
-            if len(known) >= top_details:
-                floor = np.partition(known, -top_details)[-top_details] - _FLOAT_BAND
-            to_kernel = close | (violated & (top >= floor))
+            to_kernel = close | (violated & (top >= exact.raise_floor(top[violated])))
         if not to_kernel.any():
             continue
-        index = pairs[to_kernel] + first * n_cs
-        rs, cs = np.divmod(index, n_cs)
-        blocks = matrix.counts[row_subsets[rs][:, :, None], col_subsets[cs][:, None, :]]
-        signed, argmax, _ = _split_kernel(blocks)
-        violates = np.abs(signed) > VIOLATION_BOUND
-        n_entangled += int((violates & close[to_kernel]).sum())
-        if top_details > 0:
-            top_index = np.concatenate([top_index, index[violates]])
-            top_signed = np.concatenate([top_signed, signed[violates]])
-            top_argmax = np.concatenate([top_argmax, argmax[violates]])
-            keep = np.lexsort((top_index, -np.abs(top_signed)))[:top_details]
-            top_index, top_signed, top_argmax = top_index[keep], top_signed[keep], top_argmax[keep]
+        rs, cs = np.divmod(pairs[to_kernel], n_lcs)
+        index = row_subset[rs + chunk_first] * n_cs + col_subset[cs]
+        exact.add(index, close[to_kernel], top[to_kernel])
+    exact.finish()
+    n_entangled += exact.n_entangled
+    top_index, top_signed, top_argmax = exact.index, exact.signed, exact.argmax
 
     details: tuple[PairDetail, ...] | None = None
     if top_details > 0:

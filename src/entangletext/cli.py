@@ -71,10 +71,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers, none empty and none repeated."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        values = [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -769,6 +769,81 @@ class TestEntanglementProportion:
         first_rows = {d.row_terms for d in report.details[:100]}
         assert len(first_rows) > 1
 
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("k, seed", [(4, 0), (5, 1), (6, 2), (7, 3), (8, 4)])
+    def test_chunk_edges_equal_unpruned_reference(self, chunk, k, seed, monkeypatch):
+        # budgets of 1 and 7 subset pairs put a fixed count of live row splits
+        # inside one row subset's three splits; every chunk must end on a
+        # whole row subset, or a subset pair is counted once per chunk
+        counts = np.random.default_rng(seed).integers(0, 3, size=(k, k))
+        matrix = _cooc_from_counts(counts)
+        monkeypatch.setattr(chsh, "_SCAN_CHUNK", chunk)
+        for top_details in (0, 3, 1000):
+            report = entanglement_proportion(matrix, top_details=top_details)
+            n_entangled, details = _unpruned_scan(matrix, top_details)
+            assert report.n_pairs_entangled == n_entangled
+            assert report.details == details
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["rows-prune", "columns-prune"])
+    @pytest.mark.parametrize("k, seed", [(7, 5), (7, 20), (8, 1)])
+    def test_one_side_pruned_equals_unpruned_reference(
+        self, k, seed, transpose, chunk, monkeypatch
+    ):
+        # counts in {0, 1, 2} over flat rows of 30: a row split whose halves
+        # both lie in the flat rows has every |x| near 0 and is pruned, while
+        # every column split stays live
+        counts = np.full((k, k), 30, dtype=np.int64)
+        n_flat = k - 5
+        counts[:-n_flat] = np.random.default_rng(seed).integers(0, 3, size=(5, k))
+        if transpose:
+            counts = counts.T
+        matrix = _cooc_from_counts(counts)
+        seen = []
+        live_side = chsh._live_side
+
+        def recording_live_side(table, h0, h1):
+            halves = live_side(table, h0, h1)
+            seen.append((len(halves[0]), len(h0)))
+            return halves
+
+        monkeypatch.setattr(chsh, "_live_side", recording_live_side)
+        monkeypatch.setattr(chsh, "_SCAN_CHUNK", chunk)
+        report = entanglement_proportion(matrix, top_details=1000)
+        n_entangled, details = _unpruned_scan(matrix, 1000)
+        assert n_entangled > 0
+        assert report.n_pairs_entangled == n_entangled
+        assert report.details == details
+        # columns are tested first, then rows
+        cols, rows = seen
+        (live, n_splits), (kept, n_kept) = (cols, rows) if transpose else (rows, cols)
+        assert 0 < live < n_splits
+        assert kept == n_kept
+
+    def test_all_to_kernel_in_capped_batches(self, bundled_by_id, monkeypatch):
+        # a band wider than any |S| prunes nothing and calls every subset pair
+        # close, so the kernel decides each one, in calls of at most the cap
+        topic = bundled_by_id["storm"]
+        from entangletext import build_concept_pair, rank_by_frequency
+
+        pair = build_concept_pair(rank_by_frequency(topic))
+        matrix = count_cooccurrences(pair, topic.windows(5))
+        expected = entanglement_proportion(matrix, top_details=10)
+        seen = []
+        kernel = chsh._split_kernel
+
+        def counting_kernel(blocks):
+            seen.append(len(blocks))
+            return kernel(blocks)
+
+        monkeypatch.setattr(chsh, "_FLOAT_BAND", 4.0)
+        monkeypatch.setattr(chsh, "_split_kernel", counting_kernel)
+        report = entanglement_proportion(matrix, top_details=10)
+        assert report.n_pairs_entangled == expected.n_pairs_entangled > 0
+        assert report.details == expected.details
+        assert sum(seen) == report.n_pairs_total
+        assert max(seen) <= chsh._KERNEL_BATCH
+
     def test_kernel_sees_only_the_band_and_the_top_candidates(self, bundled_by_id, monkeypatch):
         topic = bundled_by_id["storm"]
         from entangletext import build_concept_pair, rank_by_frequency

@@ -653,6 +653,34 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bounds, problem",
+        [
+            # two rows of one grid point, each with its own seed
+            ("5,5", "'5,5' repeats a value"),
+            ("5,05", "'5,05' repeats a value"),
+            ("5,,6", "expected comma-separated integers, got '5,,6'"),
+            ("5,6,", "expected comma-separated integers, got '5,6,'"),
+        ],
+        ids=["repeated", "repeated-as-written-apart", "empty-item", "trailing-comma"],
+    )
+    def test_bad_bound_list_usage_error(self, bounds, problem, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a sweep ran on a bad bound list")
+
+        monkeypatch.setattr(report, "parameter_sweep", must_not_run)
+        out = tmp_path / "c.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", f"--B={bounds}", "--samples", "10", "--lambda-grid", "0.5:0.5:1",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"entangletext simulate: error: argument --B: {problem}"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 # Manifest fuzzing: any JSON shape, with fields missing, of the wrong type,
 # repeated or empty, naming tiny, empty, non-UTF-8 or absent documents.
