@@ -379,13 +379,21 @@ def _block_terms(f, total, diff, numer, denom) -> None:
     f is (rows, columns, ...). Into the caller's buffers go the row-pair sums
     and differences, (row pairs, columns, ...), then numer = f11 + f22 - f12
     - f21 and denom = f11 + f12 + f21 + f22, (row pairs, column pairs, ...).
+    The pairs (r, r + 1), ..., (r, n - 1) of n indices are consecutive in
+    the module docstring's numbering, so each side takes n - 1 calls per
+    operation, f[r] + f[r + 1:] and f[r] - f[r + 1:]. Every element gets the
+    same operation on the same operands as it would from one call per pair,
+    so the results are bit for bit the same.
     """
-    for p, (r1, r2) in enumerate(combinations(range(f.shape[0]), 2)):
-        np.add(f[r1], f[r2], out=total[p])
-        np.subtract(f[r1], f[r2], out=diff[p])
-    for q, (c1, c2) in enumerate(combinations(range(f.shape[1]), 2)):
-        np.subtract(diff[:, c1], diff[:, c2], out=numer[:, q])
-        np.add(total[:, c1], total[:, c2], out=denom[:, q])
+    n, m = f.shape[:2]
+    for r in range(n - 1):
+        p = slice(r * (2 * n - r - 1) // 2, (r + 1) * (2 * n - r - 2) // 2)
+        np.add(f[r], f[r + 1:], out=total[p])
+        np.subtract(f[r], f[r + 1:], out=diff[p])
+    for c in range(m - 1):
+        q = slice(c * (2 * m - c - 1) // 2, (c + 1) * (2 * m - c - 2) // 2)
+        np.subtract(diff[:, c, None], diff[:, c + 1:], out=numer[:, q])
+        np.add(total[:, c, None], total[:, c + 1:], out=denom[:, q])
 
 
 def _band_verdict(top: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
@@ -494,24 +502,41 @@ def _split_halves(subsets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return number[:, :3].ravel(), number[:, :2:-1].ravel()
 
 
+@lru_cache(maxsize=8)
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4-subsets of range(n) and their ``_split_halves``, read-only."""
+    subsets = np.array(list(combinations(range(n), 4)))
+    arrays = (subsets, *_split_halves(subsets, n))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _live_side(table: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, ...]:
     """The splits of one side's 4-subsets that can be live in the scan.
 
     Pairs of the side number the rows of table (its transpose for the
     columns), and split 3 x subset + split has halves h0 and h1
     (``_split_halves``). A split is live when two entries of table[h0] +
-    table[h1] sum above 2 - _FLOAT_BAND, tested on about _SCAN_CHUNK
-    entries at a time. Returns the live splits' halves, the subsets that
-    hold a live split, and each live split's position among those subsets.
+    table[h1] sum above 2 - _FLOAT_BAND. A first stage takes top2, the sum
+    of the two largest entries of each table row, from one partition of the
+    table, and drops the splits where top2[h0] + top2[h1] is not above 2 -
+    _FLOAT_BAND; it bounds every sum of two entries of table[h0] + table[h1]
+    (``entanglement_proportion``). Only the other splits take the test on
+    the two largest entries, about _SCAN_CHUNK entries at a time. Returns
+    the live splits' halves, the subsets that hold a live split, and each
+    live split's position among those subsets.
     """
-    live = np.empty(len(h0), dtype=bool)
+    top2 = np.partition(table, -2, axis=1)[:, -2:].sum(axis=1)
+    splits = np.flatnonzero(top2[h0] + top2[h1] > VIOLATION_BOUND - _FLOAT_BAND)
+    live = np.empty(len(splits), dtype=bool)
     step = max(1, _SCAN_CHUNK // table.shape[1])
-    for first in range(0, len(h0), step):
+    for first in range(0, len(splits), step):
         part = slice(first, first + step)
-        v = table[h0[part]] + table[h1[part]]
+        v = table[h0[splits[part]]] + table[h1[splits[part]]]
         v.partition(-2, axis=1)
         live[part] = v[:, -1] + v[:, -2] > VIOLATION_BOUND - _FLOAT_BAND
-    splits = np.flatnonzero(live)
+    splits = splits[live]
     # sorted, so each subset's first live split starts a new number
     new = np.ones(len(splits), dtype=bool)
     np.not_equal(splits[1:] // 3, splits[:-1] // 3, out=new[1:])
@@ -628,6 +653,31 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     band the kernel would have found below 2. An empty block keeps -inf
     in v. Both tests run on about _SCAN_CHUNK entries of v at a time.
 
+    A cheaper bound goes first and spares most splits that test
+    (``_live_side``). Let top2[p] be the sum of the two largest |x| in row p
+    of the table (row pair p, one entry per column pair; the transpose for
+    the columns).
+
+    - Exact arithmetic: v[q] + v[q'] = (|x|[h0, q] + |x|[h0, q']) + (|x|[h1,
+      q] + |x|[h1, q']) for the row split's halves h0 and h1, and as q and
+      q' are distinct, each bracket is at most top2 of its half. So
+      top2[h0] + top2[h1] is at least every sum|x| the row split can have
+      with any column split, and the same holds for column splits. An
+      empty block's -inf carries through top2 as through v: a half whose
+      top2 is -inf has an empty block at all but at most one column pair,
+      so every split pair of its split holds an empty block and is
+      skipped.
+    - Floats: the bound above holds for the table's float |x| as well.
+      The float top2[h0] + top2[h1] is within a few 2**-53 of the real sum
+      of its four float |x|, and each float |x| is within about 7 x 2**-53
+      of the exact one, so every split pair of the split has exact sum|x|
+      at most top2[h0] + top2[h1] plus about 1e-14. A split where that is
+      2 - 1e-9 or less therefore has only split pairs of exact sum|x|
+      below 2. Its float v test might, within that error, have kept it;
+      then its split pairs could at most have put a subset pair's maximum
+      in the band, where the kernel would have found it below 2. Dropping
+      them changes no verdict, as above.
+
     Then the scan sums |x| only for the live row splits against the live
     column splits, a few live row subsets at a time (``_SCAN_CHUNK``): a
     chunk holds every live split of each of its row subsets, because a
@@ -636,7 +686,13 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     the table and its float best |S| by the module docstring's rule.
     Every other split pair is below 2 - 1e-9, so a subset pair's float
     maximum over its live split pairs decides it as in the module
-    docstring.
+    docstring. A chunk's bound is laid out (column split, row split): the
+    row sums u, one row per live row split and one column per column pair,
+    are transposed, so each live column split gathers two whole rows of
+    them. The order leaves every count and tie as it was: a subset pair's
+    float maximum is taken by np.maximum.at, whose result does not depend
+    on the order of its operands, and the subset pairs go to the count and
+    the kernel in the order of their (row subset, column subset) numbers.
 
     ``_split_kernel`` sees, on their full 4x4 blocks, only the close subset
     pairs, which it decides and counts, and the violated ones whose float
@@ -658,8 +714,8 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     if n_rows < 4 or n_cols < 4:
         raise ValueError("the co-occurrence matrix needs at least 4 terms per side")
 
-    row_subsets = np.array(list(combinations(range(n_rows), 4)))
-    col_subsets = np.array(list(combinations(range(n_cols), 4)))
+    row_subsets, *row_halves = _subsets(n_rows)
+    col_subsets, *col_halves = _subsets(n_cols)
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
     sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols))
@@ -673,9 +729,8 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     np.abs(x, out=table)
     table[empty] = -np.inf
     col_h0, col_h1, col_subset, col_number = _live_side(
-        np.ascontiguousarray(table.T), *_split_halves(col_subsets, n_cols))
-    row_h0, row_h1, row_subset, row_number = _live_side(
-        table, *_split_halves(row_subsets, n_rows))
+        np.ascontiguousarray(table.T), *col_halves)
+    row_h0, row_h1, row_subset, row_number = _live_side(table, *row_halves)
     row_start = np.searchsorted(row_number, np.arange(len(row_subset) + 1))
     n_lcs = max(1, len(col_subset))
     # an unpruned chunk has step row subsets; the row sums and the bound
@@ -697,15 +752,17 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         rows = slice(row_start[first], row_start[last])
         chunk_first, first = first, last
         # sum|x| of a split pair is u[column half 0] + u[column half 1], where
-        # u sums the |x| of the row split's two halves per column pair
+        # u sums the |x| of the row split's two halves, one row per column
+        # pair, so the bound takes whole rows of it
         h0, h1 = row_h0[rows], row_h1[rows]
-        u = table[h0] + table[h1]
-        bound = u[:, col_h0] + u[:, col_h1]
+        u = np.ascontiguousarray((table[h0] + table[h1]).T)
+        bound = np.take(u, col_h0, axis=0)
+        bound += np.take(u, col_h1, axis=0)
         live = np.flatnonzero(bound > VIOLATION_BOUND - _FLOAT_BAND)
         if not len(live):
             continue
-        # row (live row split) and column (live column split)
-        i, j = np.divmod(live, len(col_h0))
+        # column (live column split) and row (live row split)
+        j, i = np.divmod(live, len(h0))
         x0, x1 = h0[i] * n_cp, h1[i] * n_cp
         c0, c1 = col_h0[j], col_h1[j]
         x00, x01 = x.take(x0 + c0), x.take(x0 + c1)

@@ -588,6 +588,96 @@ class TestBlockLayout:
                 assert tuple(chsh._BLOCK_ROWS[b, j]) == _split_of_four(j // 3)[b // 2]
                 assert tuple(chsh._BLOCK_COLS[b, j]) == _split_of_four(j % 3)[b % 2]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_terms_equal_one_call_per_pair(self, dtype):
+        # inexact operands, so any change of operation or operand order shows
+        f = np.random.default_rng(3).random((7, 9, 5)).astype(dtype) * 1e3
+        total, diff = np.empty((2, 21, 9, 5), dtype=dtype)
+        numer, denom = np.empty((2, 21, 36, 5), dtype=dtype)
+        for p, (r1, r2) in enumerate(combinations(range(7), 2)):
+            total[p], diff[p] = f[r1] + f[r2], f[r1] - f[r2]
+        for q, (c1, c2) in enumerate(combinations(range(9), 2)):
+            numer[:, q], denom[:, q] = diff[:, c1] - diff[:, c2], total[:, c1] + total[:, c2]
+        for got, want in zip(_built_terms(f), (numer, denom)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_subsets_are_cached_read_only(self):
+        for n in range(4, 21):
+            subsets, h0, h1 = got = chsh._subsets(n)
+            want = np.array(list(combinations(range(n), 4)))
+            assert np.array_equal(subsets, want)
+            for half, want_half in zip((h0, h1), chsh._split_halves(want, n)):
+                assert np.array_equal(half, want_half)
+            assert chsh._subsets(n) is got
+            for array in got:
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+
+def _live_side_reference(table, h0, h1):
+    """Split by split: live when the two largest entries of table[h0] +
+    table[h1] sum above 2 - 1e-9; returns what chsh._live_side returns."""
+    live = [s for s in range(len(h0))
+            if sum(sorted((table[h0[s]] + table[h1[s]]).tolist())[-2:]) > 2 - 1e-9]
+    subsets = sorted({s // 3 for s in live})
+    number = [subsets.index(s // 3) for s in live]
+    return h0[live], h1[live], np.array(subsets, dtype=np.intp), np.array(number, dtype=np.intp)
+
+
+def _boundary_table(rng, n, n_cols):
+    """An |x| table over the pairs of n indices and n_cols column pairs: a
+    background below `scale`, -inf for empty blocks, and the four entries
+    of a few splits set so that they sum within 1e-12 of 2 - 1e-9."""
+    h0, h1 = chsh._subsets(n)[1:]
+    scale = rng.choice([0.45, 0.6, 1.0])
+    table = rng.random((n * (n - 1) // 2, n_cols)) * scale
+    table[rng.random(table.shape) < rng.choice([0.0, 0.05, 0.3])] = -np.inf
+    for split in rng.choice(len(h0), size=min(len(h0), 6), replace=False):
+        q = rng.choice(n_cols, size=2, replace=False)
+        # offsets far above the float error of a sum of four (about 1e-15)
+        offset = rng.choice([-1e-12, -3e-13, -1e-13, 1e-13, 3e-13, 1e-12])
+        quarter = (2 - 1e-9 + offset) / 4
+        table[h0[split], q] = quarter + np.array([1e-4, -2e-4])
+        table[h1[split], q] = quarter + np.array([-3e-4, 4e-4])
+    return table, h0, h1
+
+
+class TestLiveSide:
+    """The whole-split prune against a split-by-split top-two reference."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_equals_top_two_reference(self, chunk, monkeypatch):
+        monkeypatch.setattr(chsh, "_SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        n_live = n_splits = 0
+        for n in range(4, 14):
+            for _ in range(3):
+                n_cols = int(rng.integers(4, 14))
+                table, h0, h1 = _boundary_table(rng, n, n_cols * (n_cols - 1) // 2)
+                got = chsh._live_side(table, h0, h1)
+                want = _live_side_reference(table, h0, h1)
+                assert len(got) == len(want) == 4
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                n_live, n_splits = n_live + len(got[0]), n_splits + len(h0)
+        # both verdicts occur in bulk
+        assert 0.05 < n_live / n_splits < 0.95
+
+    def test_a_planted_split_straddles_the_threshold(self):
+        # the four planted entries of split 4 sum to 2 - 1e-9 + offset, and
+        # every other split of the background sums to at most 1.9
+        rng = np.random.default_rng(11)
+        h0, h1 = chsh._subsets(6)[1:]
+        for offset in (-1e-12, -1e-13, 1e-13, 1e-12):
+            table = rng.random((15, 10)) * 0.45
+            quarter = (2 - 1e-9 + offset) / 4
+            table[h0[4], :2] = quarter + np.array([1e-4, -2e-4])
+            table[h1[4], :2] = quarter + np.array([-3e-4, 4e-4])
+            live = chsh._live_side(table, h0, h1)
+            # split 4 is split 1 of subset 1
+            assert [a.tolist() for a in live] == (
+                [[h0[4]], [h1[4]], [1], [0]] if offset > 0 else [[], [], [], []])
+
 
 def _cooc_from_counts(counts, method="frequency"):
     n1, n2 = counts.shape
