@@ -36,14 +36,13 @@ expressions on Python ints. The argmax is the first split pair, row
 split major, whose exact maximum is largest, then the first of its
 partition pairs in enumerate_partitions() order that attains it.
 
-Clear verdicts are decided in floats by the same split-pair rule:
-``_FloatVerdict`` in float32 for the simulator's matrices, and
-``entanglement_proportion`` in float64 for the subset pairs that survive
-its prune. ``_band_verdict`` calls a float maximum of |S| violated above
-2 + band and close within the band of 2, and the kernel re-decides the
-close ones. The band is 1e-9 in float64 and 2**-16 in float32. A verdict
-outside the band is exact for any non-negative int64 counts; with u the
-unit roundoff, 2**-53 in float64 and 2**-24 in float32:
+Clear verdicts are decided in float32 by the same split-pair rule:
+``_FloatVerdict`` for the simulator's matrices, and
+``entanglement_proportion`` for the subset pairs that survive its prune.
+``_band_verdict`` calls a float maximum of |S| violated above 2 + band and
+close within the band of 2, and the kernel re-decides the close ones. The
+band is ``_FLOAT_BAND``, 2**-16. A verdict outside the band is exact for
+any non-negative int64 counts; with u = 2**-24 the float32 unit roundoff:
 
 - Each count converts within a relative u, and each of the three
   additions or subtractions that form a block's numer, or its denom,
@@ -52,25 +51,23 @@ unit roundoff, 2**-53 in float64 and 2**-24 in float32:
   denom is zero only for an empty block, and since |numer| <= d, every
   float x = numer / denom is within about 7u of the exact x: 6u from
   the inputs of the division and u from its rounding. (While d is at
-  most 2**53, or 2**24 in float32, the sums are exact and only the
-  division rounds.)
+  most 2**24 the sums are exact and only the division rounds.)
 - So is |x|, and so is min|x|, which does not round. The float sum|x|
   of four adds 4 x 7u from the x and at most 2u, 2u and 4u from its
-  three roundings, so it is within 36u. Where the float signs give the
-  parity of the negative x wrongly, some x lies within 7u of 0, so the
-  exact and float min|x| do too, and both rules, sum|x| - 2 min|x| and
-  sum|x|, then agree within 14u. Either way the float best of a split
-  pair is within 36u + 14u + 4u, the last for the rounding of the
-  subtraction, so within 54u plus terms of order u**2; call it 60u.
+  three roundings, so it is within 36u (2.1e-6), in either order of
+  its pairwise additions. Where the float signs give the parity of the
+  negative x wrongly, some x lies within 7u of 0, so the exact and float
+  min|x| do too, and both rules, sum|x| - 2 min|x| and sum|x|, then
+  agree within 14u. Either way the float best of a split pair is within
+  36u + 14u + 4u, the last for the rounding of the subtraction, so
+  within 54u plus terms of order u**2; call it 60u.
 - The maximum over split pairs does not round, so it too is within 60u
-  of the exact maximum: 7e-15 in float64, far inside the 1e-9 band, and
-  3.6e-6 in float32, under half the 2**-16 (1.5e-5) band. A float
-  maximum above 2 + band therefore proves a violation and one below
-  2 - band proves none; exact ties at |S| = 2 always land in the band.
-  In float32 the comparisons round nothing: the band is a power of two,
-  so 2 + band is exact, and so is top - 2 for any float maximum top in
-  [1, 4] (Sterbenz). In float64, rounding 2 + 1e-9 moves it by at most
-  2**-52.
+  (3.6e-6) of the exact maximum, under a quarter of the 2**-16 (1.5e-5)
+  band. A float maximum above 2 + band therefore proves a violation and
+  one below 2 - band proves none; exact ties at |S| = 2 always land in
+  the band. The comparisons round nothing: the band is a power of two,
+  so 2 + band and 2 - band are exact, and so is top - 2 for any float
+  maximum top in [1, 4] (Sterbenz).
 
 Every block layout numbers the pairs of n indices in combinations(range(n),
 2) order. Of the six pairs of four indices (``_PAIRS``), pairs s and 5 - s
@@ -117,19 +114,21 @@ N_PARTITION_PAIRS = N_PARTITIONS_PER_SIDE**2
 # the pair numbering of the module docstring
 _PAIRS = tuple(combinations(range(4), 2))
 
-# A float maximum of |S| within this of 2 is re-decided exactly.
-_FLOAT_BAND = 1e-9
+# A float32 maximum of |S| within this of 2 is re-decided exactly: the
+# band of the simulator's verdict and of the subset scan (module docstring).
+_FLOAT_BAND = 2.0**-16
 
 # The kernel runs in int64 while 4 x (largest count), the largest possible
 # block denominator, is below this bound: 4 * 6888**4 < 2**53.
 _DENOMINATOR_LIMIT = 6888
 
-# Subset pairs per chunk of the subset scan when nothing is pruned, rounded
-# to whole rows of row subsets (at least one); 4x larger chunks nearly
-# triple peak memory and save under a tenth of the bundled scan time. A
-# chunk of pruned splits takes as many whole live row subsets as keep its
-# arrays within those of an unpruned chunk.
-_SCAN_CHUNK = 4096
+# Bound entries per chunk of the subset scan, one per (live column split,
+# row split): 9 x 4,096, an unpruned chunk of about 4,096 subset pairs.
+# A chunk takes whole live row subsets, at least one, so its bound, its
+# per-split-pair arrays and its per-subset-pair maxima stay within this
+# many entries; 4x larger chunks doubled the traced peak of a k = 10,
+# W = 5 scan (1.2 to 2.6 MB) and gave no steady saving in time.
+_SCAN_CHUNK = 9 * 4096
 
 # Subset pairs per exact kernel call of the scan; the kernel's temporaries
 # take about 3.5 KB per matrix, so a call stays under 1 MB.
@@ -406,13 +405,14 @@ class _FloatVerdict:
 
     Calling it on an (n, 4, 4) array of non-negative integer counts, n <=
     capacity, returns boolean arrays (violated, close): ``violated`` where
-    the float maximum of |S| is above 2 + BAND, ``close`` where it is within
-    BAND of 2 (``_band_verdict``). Outside the band the verdict is exact;
-    only ``close`` matrices need ``chsh_max_abs_batch``. Every call writes
-    into float32 buffers allocated once here, the first by a copy that
-    transposes the counts and rounds them to float32, so one instance
-    serves every chunk of a sampling run with no temporaries larger than
-    its two results; an instance must not be shared between threads.
+    the float maximum of |S| is above 2 + _FLOAT_BAND, ``close`` where it
+    is within _FLOAT_BAND of 2 (``_band_verdict``). Outside the band the
+    verdict is exact; only ``close`` matrices need ``chsh_max_abs_batch``.
+    Every call writes into float32 buffers allocated once here, the first
+    by a copy that transposes the counts and rounds them to float32, so
+    one instance serves every chunk of a sampling run with no temporaries
+    larger than its two results; an instance must not be shared between
+    threads.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
@@ -426,10 +426,8 @@ class _FloatVerdict:
     never picks NaN: a matrix whose split pairs are all skipped is neither
     violated nor close. The module docstring proves the float32 best |S|
     within 60 x 2**-24 (3.6e-6) of the exact one at any count size, so the
-    verdict outside BAND, over four times that, is exact.
+    verdict outside the band, over four times that, is exact.
     """
-
-    BAND = 2.0**-16
 
     def __init__(self, capacity: int):
         self._counts = np.empty((4, 4, capacity), np.float32)
@@ -464,7 +462,7 @@ class _FloatVerdict:
         lowest *= even
         lowest *= 2.0
         best -= lowest
-        return _band_verdict(np.fmax.reduce(best, axis=(0, 1)), self.BAND)
+        return _band_verdict(np.fmax.reduce(best, axis=(0, 1)), _FLOAT_BAND)
 
 
 def _partition_pair(index: int) -> tuple[Partition, Partition]:
@@ -515,17 +513,17 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _live_side(table: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple[np.ndarray, ...]:
     """The splits of one side's 4-subsets that can be live in the scan.
 
-    Pairs of the side number the rows of table (its transpose for the
-    columns), and split 3 x subset + split has halves h0 and h1
-    (``_split_halves``). A split is live when two entries of table[h0] +
-    table[h1] sum above 2 - _FLOAT_BAND. A first stage takes top2, the sum
-    of the two largest entries of each table row, from one partition of the
-    table, and drops the splits where top2[h0] + top2[h1] is not above 2 -
-    _FLOAT_BAND; it bounds every sum of two entries of table[h0] + table[h1]
-    (``entanglement_proportion``). Only the other splits take the test on
-    the two largest entries, about _SCAN_CHUNK entries at a time. Returns
-    the live splits' halves, the subsets that hold a live split, and each
-    live split's position among those subsets.
+    table is the scan's float32 |x|. Pairs of the side number its rows (its
+    transpose for the columns), and split 3 x subset + split has halves h0
+    and h1 (``_split_halves``). A split is live when two entries of
+    table[h0] + table[h1] sum above 2 - _FLOAT_BAND. A first stage takes
+    top2, the sum of the two largest entries of each table row, from one
+    partition of the table, and drops the splits where top2[h0] + top2[h1]
+    is not above 2 - _FLOAT_BAND; it bounds every sum of two entries of
+    table[h0] + table[h1] (``entanglement_proportion``). Only the other
+    splits take the test on the two largest entries, about _SCAN_CHUNK
+    entries at a time. Returns the live splits' halves, the subsets that
+    hold a live split, and each live split's position among those subsets.
     """
     top2 = np.partition(table, -2, axis=1)[:, -2:].sum(axis=1)
     splits = np.flatnonzero(top2[h0] + top2[h1] > VIOLATION_BOUND - _FLOAT_BAND)
@@ -541,6 +539,44 @@ def _live_side(table: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple[np.nd
     new = np.ones(len(splits), dtype=bool)
     np.not_equal(splits[1:] // 3, splits[:-1] // 3, out=new[1:])
     return h0[splits], h1[splits], splits[new] // 3, np.cumsum(new) - 1
+
+
+def _live_split_pairs(table, negative, h0, h1, c0, c1) -> tuple[np.ndarray, ...]:
+    """The live split pairs of some row splits and column splits, and their float best |S|.
+
+    table holds the scan's float32 |x| (-inf for an empty block), and
+    negative whether each x is below 0, one row per row pair and one column
+    per column pair; row split i has halves h0[i] and h1[i], and column
+    split j halves c0[j] and c1[j]. Three tables are laid out with one row
+    per column pair and one column per row split: the sums u = |x|[h0] +
+    |x|[h1], the minima m = min(|x|[h0], |x|[h1]) and the parities p =
+    (x[h0] < 0) ^ (x[h1] < 0). The bound sum|x| on split pair (j, i) is
+    u[c0[j], i] + u[c1[j], i], so each column split gathers two whole rows
+    of u, and the split pairs whose bound is above 2 - _FLOAT_BAND are
+    live. A live split pair takes its min|x| = min(m[c0], m[c1]) and the
+    parity of its negative x, p[c0] ^ p[c1], by two gathers each, and its
+    best |S| is sum|x| - 2 min|x| at even parity and sum|x| otherwise.
+    These are the floats its four x would give: min and XOR are exact and
+    do not depend on order, and sum|x| keeps the order (a + b) + (c + d).
+    Returns (j, i, best) of the live split pairs, j major.
+    """
+    a, b = table[h0], table[h1]
+    u = np.ascontiguousarray((a + b).T)
+    bound = np.take(u, c0, axis=0)
+    bound += np.take(u, c1, axis=0)
+    live = np.flatnonzero(bound > VIOLATION_BOUND - _FLOAT_BAND)
+    j, i = np.divmod(live, len(h0))
+    if not len(live):
+        return j, i, bound[:0]
+    m = np.ascontiguousarray(np.minimum(a, b).T)
+    p = np.ascontiguousarray((negative[h0] ^ negative[h1]).T)
+    e0, e1 = c0[j] * len(h0) + i, c1[j] * len(h0) + i
+    low = np.minimum(m.take(e0), m.take(e1))
+    # even parity of the negative x, by XOR of sign bits as in _FloatVerdict
+    low *= ~(p.take(e0) ^ p.take(e1))
+    best = bound.take(live)
+    best -= 2 * low
+    return j, i, best
 
 
 class _ExactQueue:
@@ -561,7 +597,7 @@ class _ExactQueue:
         self._top_details = top_details
         self._queue: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._queued = 0
-        self._strongest = np.empty(0)  # the largest top_details float |S| seen
+        self._strongest = np.empty(0, np.float32)  # the largest top_details float |S| seen
         self._floor = -np.inf
         self.n_entangled = 0
         self.index = np.empty(0, dtype=np.int64)
@@ -626,14 +662,16 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     the 16 partition pairs of a split pair adds its four block expectations
     x with signs of +1 or -1, so none reaches |S| above sum|x|, and a
     subset pair whose nine split pairs all have sum|x| <= 2 cannot violate.
-    The scan takes x = numer / denom from one table over (row pair, column
-    pair) blocks, built by ``_block_terms`` in the module docstring's pair
-    numbering, and its bound on a split pair is the float sum|x| of the
-    table's |x|. The bound cannot drop a violation:
+    The scan takes x = numer / denom in float32 from one table over (row
+    pair, column pair) blocks, built by ``_block_terms`` in the module
+    docstring's pair numbering, and its bound on a split pair is the float
+    sum|x| of the table's |x|. Its band is _FLOAT_BAND, 2**-16 (1.5e-5).
+    With u = 2**-24, the bound cannot drop a violation:
 
-    - Each float |x| is within a few 2**-53 of the exact one at any count
-      size (module docstring), so a float sum of four is within about
-      1e-14 of the exact sum|x|, far inside the 1e-9 margin.
+    - Each float |x| is within about 7u of the exact one at any count
+      size, and a float sum of four, in either order of its pairwise
+      additions, is within 36u (2.1e-6) of the exact sum|x| (module
+      docstring), far inside the band.
     - An empty block has |x| = -inf, so its split pair sums to -inf and
       never survives; ``_split_kernel`` skips such split pairs too.
 
@@ -643,20 +681,20 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     v[q'] for that column split's two halves q and q', two distinct column
     pairs. It is therefore at most the sum of the two largest entries of v
     (float addition is monotone), so a row split whose two largest entries
-    sum to 2 - 1e-9 or less has no split pair above 2 - 1e-9. The same
+    sum to 2 - band or less has no split pair above 2 - band. The same
     test on the per-row-pair sums of a column split's two halves prunes
     column splits; it adds the same four |x| in another order, so its
-    float sum is also within about 1e-14 of the exact sum|x|, and a split
-    pair it prunes has exact sum|x| below 2 and cannot violate. Dropping
-    such a split pair changes no subset pair's verdict: the other split
-    pairs decide as before, and a maximum it alone would have put in the
-    band the kernel would have found below 2. An empty block keeps -inf
-    in v. Both tests run on about _SCAN_CHUNK entries of v at a time.
+    float sum is also within 36u of the exact sum|x|, and a split pair it
+    prunes has exact sum|x| below 2 and cannot violate. Dropping such a
+    split pair changes no subset pair's verdict: the other split pairs
+    decide as before, and a maximum it alone would have put in the band
+    the kernel would have found below 2. An empty block keeps -inf in v.
+    Both tests run on about _SCAN_CHUNK entries of v at a time.
 
     A cheaper bound goes first and spares most splits that test
-    (``_live_side``). Let top2[p] be the sum of the two largest |x| in row p
-    of the table (row pair p, one entry per column pair; the transpose for
-    the columns).
+    (``_live_side``). Let top2[p] be the float sum of the two largest |x|
+    in row p of the table (row pair p, one entry per column pair; the
+    transpose for the columns).
 
     - Exact arithmetic: v[q] + v[q'] = (|x|[h0, q] + |x|[h0, q']) + (|x|[h1,
       q] + |x|[h1, q']) for the row split's halves h0 and h1, and as q and
@@ -668,44 +706,45 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
       so every split pair of its split holds an empty block and is
       skipped.
     - Floats: the bound above holds for the table's float |x| as well.
-      The float top2[h0] + top2[h1] is within a few 2**-53 of the real sum
-      of its four float |x|, and each float |x| is within about 7 x 2**-53
-      of the exact one, so every split pair of the split has exact sum|x|
-      at most top2[h0] + top2[h1] plus about 1e-14. A split where that is
-      2 - 1e-9 or less therefore has only split pairs of exact sum|x|
-      below 2. Its float v test might, within that error, have kept it;
-      then its split pairs could at most have put a subset pair's maximum
-      in the band, where the kernel would have found it below 2. Dropping
-      them changes no verdict, as above.
+      The float top2[h0] + top2[h1] is within 8u of the real sum of its
+      four float |x| (2u, 2u and 4u from its three roundings), and each
+      float |x| is within about 7u of the exact one, so every split pair
+      of the split has exact sum|x| at most top2[h0] + top2[h1] plus 36u.
+      A split where that is 2 - band or less therefore has only split
+      pairs of exact sum|x| below 2. Its float v test might, within that
+      error, have kept it; then its split pairs could at most have put a
+      subset pair's maximum in the band, where the kernel would have
+      found it below 2. Dropping them changes no verdict, as above.
 
     Then the scan sums |x| only for the live row splits against the live
-    column splits, a few live row subsets at a time (``_SCAN_CHUNK``): a
-    chunk holds every live split of each of its row subsets, because a
-    subset pair's maximum is taken over all nine of its split pairs. The
-    split pairs above 2 - 1e-9 are live. Each takes its four signed x from
-    the table and its float best |S| by the module docstring's rule.
-    Every other split pair is below 2 - 1e-9, so a subset pair's float
-    maximum over its live split pairs decides it as in the module
-    docstring. A chunk's bound is laid out (column split, row split): the
-    row sums u, one row per live row split and one column per column pair,
-    are transposed, so each live column split gathers two whole rows of
-    them. The order leaves every count and tie as it was: a subset pair's
-    float maximum is taken by np.maximum.at, whose result does not depend
-    on the order of its operands, and the subset pairs go to the count and
-    the kernel in the order of their (row subset, column subset) numbers.
+    column splits, whole live row subsets at a time, because a subset
+    pair's maximum is taken over all nine of its split pairs. A chunk
+    takes as many as keep its bound, one entry per (live column split,
+    row split), and each of its per-row-split tables, one entry per
+    (column pair, row split), within _SCAN_CHUNK entries, and at least
+    one. The split pairs whose bound is above 2 - band are live, and each
+    takes its float best |S| by the module docstring's rule
+    (``_live_split_pairs``). Every other split pair is below 2 - band, so
+    a subset pair's float maximum over its live split pairs decides it as
+    in the module docstring. The order leaves every count and tie as it
+    was: a subset pair's float maximum is taken by np.maximum.at, whose
+    result does not depend on the order of its operands, and the subset
+    pairs go to the count and the kernel in the order of their (row
+    subset, column subset) numbers.
 
     ``_split_kernel`` sees, on their full 4x4 blocks, only the close subset
     pairs, which it decides and counts, and the violated ones whose float
     |S| is at least the ``top_details``-th largest |S| known so far less
-    1e-9. The known values are floats only, the float maxima of the
-    violations found so far, so this floor is widened by the band: each
-    of the ``top_details`` floats behind it is within about 1e-14 of its
-    pair's exact |S|, so a violation whose float |S| is below the floor is
-    weaker than ``top_details`` others by more than the float error and
-    cannot be reported. The floor only rises; queued candidates it has
-    passed are dropped before the kernel sees them. Every reported S,
-    argmax and tie rule is the kernel's. The pairs are collected over the
-    chunks and decided _KERNEL_BATCH per kernel call (``_ExactQueue``).
+    the band. The known values are floats only, the float maxima of the
+    violations found so far, so this floor is widened by the band: each of
+    the ``top_details`` floats behind it is within 60u (3.6e-6) of its
+    pair's exact |S|, so a violation whose float |S| is below the floor
+    is weaker than ``top_details`` others by more than the band less 120u
+    (the band is 256u) and cannot be reported. The floor only rises;
+    queued candidates it has passed are dropped before the kernel sees
+    them. Every reported S, argmax and tie rule is the kernel's. The pairs
+    are collected over the chunks and decided _KERNEL_BATCH per kernel call
+    (``_ExactQueue``).
 
     Violating pairs are counted per chunk and only the strongest
     ``top_details`` of them are kept, so no array spans all subset pairs.
@@ -718,14 +757,14 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     col_subsets, *col_halves = _subsets(n_cols)
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
-    sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols))
-    x, table = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2))
-    _block_terms(matrix.counts.astype(np.float64), *sums, x, table)
-    n_cp = x.shape[1]
+    sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols), np.float32)
+    x, table = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2), np.float32)
+    _block_terms(matrix.counts.astype(np.float32), *sums, x, table)
     empty = table == 0
     # numer becomes x and denom its |x|, -inf for an empty block
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(x, table, out=x)
+    negative = x < 0
     np.abs(x, out=table)
     table[empty] = -np.inf
     col_h0, col_h1, col_subset, col_number = _live_side(
@@ -733,11 +772,9 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     row_h0, row_h1, row_subset, row_number = _live_side(table, *row_halves)
     row_start = np.searchsorted(row_number, np.arange(len(row_subset) + 1))
     n_lcs = max(1, len(col_subset))
-    # an unpruned chunk has step row subsets; the row sums and the bound
-    # together, and the per-subset-pair maxima, stay within its arrays
-    step = max(1, _SCAN_CHUNK // n_cs)
-    row_budget = 3 * step * (n_cp + 3 * n_cs) // (n_cp + len(col_h0))
-    subset_budget = max(1, step * n_cs // n_lcs)
+    # row splits per chunk: each takes one bound entry per live column split,
+    # and one entry of each of u, m and p per column pair (_live_split_pairs)
+    row_budget = _SCAN_CHUNK // max(len(col_h0), len(table[0]))
 
     n_entangled = 0
     exact = _ExactQueue(
@@ -748,33 +785,15 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     first = 0
     while first < len(row_subset):
         last = np.searchsorted(row_start, row_start[first] + row_budget, "right") - 1
-        last = min(max(first + 1, last), first + subset_budget)
+        last = max(first + 1, last)
         rows = slice(row_start[first], row_start[last])
         chunk_first, first = first, last
-        # sum|x| of a split pair is u[column half 0] + u[column half 1], where
-        # u sums the |x| of the row split's two halves, one row per column
-        # pair, so the bound takes whole rows of it
-        h0, h1 = row_h0[rows], row_h1[rows]
-        u = np.ascontiguousarray((table[h0] + table[h1]).T)
-        bound = np.take(u, col_h0, axis=0)
-        bound += np.take(u, col_h1, axis=0)
-        live = np.flatnonzero(bound > VIOLATION_BOUND - _FLOAT_BAND)
-        if not len(live):
+        j, i, best = _live_split_pairs(
+            table, negative, row_h0[rows], row_h1[rows], col_h0, col_h1)
+        if not len(best):
             continue
-        # column (live column split) and row (live row split)
-        j, i = np.divmod(live, len(h0))
-        x0, x1 = h0[i] * n_cp, h1[i] * n_cp
-        c0, c1 = col_h0[j], col_h1[j]
-        x00, x01 = x.take(x0 + c0), x.take(x0 + c1)
-        x10, x11 = x.take(x1 + c0), x.take(x1 + c1)
-        low = np.minimum(np.minimum(np.abs(x00), np.abs(x01)),
-                         np.minimum(np.abs(x10), np.abs(x11)))
-        # even parity of the negative x, by XOR of sign bits as in _FloatVerdict
-        low *= ~((x00 < 0) ^ (x01 < 0) ^ (x10 < 0) ^ (x11 < 0))
-        best = bound.take(live)
-        best -= 2 * low
         # float maximum of |S| per (live row subset, live column subset) of the chunk
-        top = np.full((last - chunk_first) * n_lcs, -np.inf)
+        top = np.full((last - chunk_first) * n_lcs, -np.inf, np.float32)
         local_rows = row_number[rows] - chunk_first
         np.maximum.at(top, local_rows[i] * n_lcs + col_number[j], best)
         pairs = np.flatnonzero(top > VIOLATION_BOUND - _FLOAT_BAND)

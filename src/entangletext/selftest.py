@@ -11,11 +11,11 @@ exact kernel behind every verdict, and the float32 verdict that decides
 the clear ``simulate`` matrices to the exact ordering scan; a matrix the
 float verdict calls close must lie within its band (``_FloatVerdict.BAND``)
 of |S| = 2, where the exact kernel decides it. The scan check holds
-``entanglement_proportion``, whose floats decide the clear subset pairs,
-to ``chsh_max_abs_batch`` on every subset block of a 6x6 matrix. The
-ordering check's matrices include an exact tie at |S| = 2 that reads
-2 + 2**-22 in float32, and the scan check's matrix one that reads
-2 + 2**-51 in float64, so each float verdict passes only with its band.
+``entanglement_proportion``, whose float32 values decide the clear subset
+pairs, to ``chsh_max_abs_batch`` on every subset block of a 6x6 matrix.
+The ordering check's matrices and the scan check's matrix both hold an
+exact tie at |S| = 2 that reads 2 + 2**-22 in float32, so the float
+verdict and the scan each pass only with their band (``_FLOAT_BAND``).
 The partition table used by the canonical side is injectable so a corrupted
 table is detectable (negative control in the test suite).
 """
@@ -80,12 +80,11 @@ _LARGE_SMALL = np.array(
 )
 
 
-# max |S| is exactly 2 but reads 2 + 2**-51 in float64: the scan must leave
-# it to the exact kernel
+# max |S| is exactly 2, and reads exactly 2 in float32 too
 _EXACT_TIE = np.array([[10, 1, 8, 2], [9, 1, 8, 11], [2, 1, 9, 7], [10, 10, 0, 3]])
 
 # max |S| is exactly 2 but reads 2 + 2**-22 in float32: the float verdict
-# must leave it to the exact kernel
+# and the scan must leave it to the exact kernel
 _FLOAT32_TIE = np.array([[6, 1, 0, 0], [8, 1, 0, 2], [3, 9, 3, 9], [1, 4, 0, 10]])
 
 
@@ -134,7 +133,7 @@ def _batch_mismatch(counts, full_abs, full_skipped) -> str | None:
         return "batch kernel skip count differs from the exact scan"
     violated, close = _FloatVerdict(1)(np.asarray(counts)[None])
     distance = abs(float(want) - 2)
-    band = chsh._FloatVerdict.BAND  # the package's band, even under a test's fake verdict
+    band = chsh._FLOAT_BAND  # the package's band, even under a test's fake verdict
     if close[0] and (violated[0] or distance > band + 1e-12):
         return f"float verdict calls max |S| {float(want)!r} close to 2"
     if not close[0] and (violated[0] != (want > 2) or distance < band - 1e-12):
@@ -189,11 +188,11 @@ def _check_ordering_equivalence(partition_pairs, rng) -> CheckResult:
 
 
 def _check_scan_verdicts() -> CheckResult:
-    # _LARGE_SMALL in the top-left 4x4 block, then _EXACT_TIE over the
+    # _LARGE_SMALL in the top-left 4x4 block, then _FLOAT32_TIE over the
     # bottom-right one (the two share a 2x2 corner), zeros elsewhere
     counts = np.zeros((6, 6), dtype=np.int64)
     counts[:4, :4] = _LARGE_SMALL
-    counts[2:, 2:] = _EXACT_TIE
+    counts[2:, 2:] = _FLOAT32_TIE
     labels = [tuple(f"{side}{i}" for i in range(6)) for side in "rc"]
     pair = ConceptPair(c1=labels[0], c2=labels[1], method="frequency", topic_id="selftest")
     matrix = CoocMatrix(pair, window_size=1, counts=counts, n_windows=int(counts.max()))

@@ -412,13 +412,13 @@ class TestBatchKernel:
 
 def _assert_float_verdict(matrices):
     """The float verdict against the exact kernel: exact outside the band,
-    and the band holds only maxima within ``_FloatVerdict.BAND`` of 2."""
+    and the band holds only maxima within ``_FLOAT_BAND`` of 2."""
     matrices = np.asarray(matrices, dtype=np.int64)
     violated, close = chsh._FloatVerdict(len(matrices))(matrices)
     max_abs = chsh_max_abs_batch(matrices)[0]
     assert not (violated & close).any()
     assert (violated == (max_abs > 2))[~close].all()
-    assert (np.abs(max_abs[close] - 2) <= chsh._FloatVerdict.BAND).all()
+    assert (np.abs(max_abs[close] - 2) <= chsh._FLOAT_BAND).all()
     return violated, close
 
 
@@ -614,31 +614,47 @@ class TestBlockLayout:
                     array[0] = 0
 
 
+# the float32 spacing just below 2
+_SPACING = 2.0**-23
+
+
 def _live_side_reference(table, h0, h1):
     """Split by split: live when the two largest entries of table[h0] +
-    table[h1] sum above 2 - 1e-9; returns what chsh._live_side returns."""
+    table[h1] sum above 2 - band in float32; returns what chsh._live_side
+    returns."""
+    def top_two(v):
+        v = np.sort(v)
+        return v[-1] + v[-2]
+
     live = [s for s in range(len(h0))
-            if sum(sorted((table[h0[s]] + table[h1[s]]).tolist())[-2:]) > 2 - 1e-9]
+            if top_two(table[h0[s]] + table[h1[s]]) > 2 - chsh._FLOAT_BAND]
     subsets = sorted({s // 3 for s in live})
     number = [subsets.index(s // 3) for s in live]
     return h0[live], h1[live], np.array(subsets, dtype=np.intp), np.array(number, dtype=np.intp)
 
 
+def _plant(table, rows, q, offset):
+    """Set the four entries of rows x q so that they sum to 2 - band +
+    offset. Each entry, each sum of two and the sum of four is exact in
+    float32, so the offset alone, down to one spacing, decides the test."""
+    quarter = 0.5 - chsh._FLOAT_BAND / 4
+    table[rows[0], q] = quarter + np.array([1, -2]) * 2.0**-13
+    table[rows[1], q] = quarter + np.array([-3, 4]) * 2.0**-13 + np.array([0, offset])
+
+
 def _boundary_table(rng, n, n_cols):
-    """An |x| table over the pairs of n indices and n_cols column pairs: a
-    background below `scale`, -inf for empty blocks, and the four entries
-    of a few splits set so that they sum within 1e-12 of 2 - 1e-9."""
+    """A float32 |x| table over the pairs of n indices and n_cols column
+    pairs: a background below `scale`, -inf for empty blocks, and the four
+    entries of a few splits set so that they sum within 8 float32 spacings
+    of 2 - band."""
     h0, h1 = chsh._subsets(n)[1:]
     scale = rng.choice([0.45, 0.6, 1.0])
-    table = rng.random((n * (n - 1) // 2, n_cols)) * scale
+    table = (rng.random((n * (n - 1) // 2, n_cols)) * scale).astype(np.float32)
     table[rng.random(table.shape) < rng.choice([0.0, 0.05, 0.3])] = -np.inf
     for split in rng.choice(len(h0), size=min(len(h0), 6), replace=False):
         q = rng.choice(n_cols, size=2, replace=False)
-        # offsets far above the float error of a sum of four (about 1e-15)
-        offset = rng.choice([-1e-12, -3e-13, -1e-13, 1e-13, 3e-13, 1e-12])
-        quarter = (2 - 1e-9 + offset) / 4
-        table[h0[split], q] = quarter + np.array([1e-4, -2e-4])
-        table[h1[split], q] = quarter + np.array([-3e-4, 4e-4])
+        offset = rng.choice([-8, -3, -1, 1, 3, 8]) * _SPACING
+        _plant(table, (h0[split], h1[split]), q, offset)
     return table, h0, h1
 
 
@@ -664,19 +680,60 @@ class TestLiveSide:
         assert 0.05 < n_live / n_splits < 0.95
 
     def test_a_planted_split_straddles_the_threshold(self):
-        # the four planted entries of split 4 sum to 2 - 1e-9 + offset, and
+        # the four planted entries of split 4 sum to 2 - band + offset, and
         # every other split of the background sums to at most 1.9
         rng = np.random.default_rng(11)
         h0, h1 = chsh._subsets(6)[1:]
-        for offset in (-1e-12, -1e-13, 1e-13, 1e-12):
-            table = rng.random((15, 10)) * 0.45
-            quarter = (2 - 1e-9 + offset) / 4
-            table[h0[4], :2] = quarter + np.array([1e-4, -2e-4])
-            table[h1[4], :2] = quarter + np.array([-3e-4, 4e-4])
+        for offset in (-4 * _SPACING, -_SPACING, _SPACING, 4 * _SPACING):
+            table = (rng.random((15, 10)) * 0.45).astype(np.float32)
+            _plant(table, (h0[4], h1[4]), slice(0, 2), offset)
             live = chsh._live_side(table, h0, h1)
             # split 4 is split 1 of subset 1
             assert [a.tolist() for a in live] == (
                 [[h0[4]], [h1[4]], [1], [0]] if offset > 0 else [[], [], [], []])
+
+
+class TestLiveSplitPairs:
+    """The scan's per-chunk sum, min and parity tables against four gathers
+    of x per split pair."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_four_gathers(self, seed):
+        rng = np.random.default_rng(seed)
+        n_rp, n_cp, n_rs, n_cs = rng.integers(3, 40, size=4)
+        # |x| mostly above 1/4, so that both verdicts occur in bulk
+        x = rng.choice([-1, 1], size=(n_rp, n_cp)) * (rng.random((n_rp, n_cp)) * 0.8 + 0.2)
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.05] = -0.0
+        x[rng.random(x.shape) < 0.05] = np.nan  # an empty block's 0/0
+        x = x.astype(np.float32)
+        table = np.where(np.isnan(x), np.float32(-np.inf), np.abs(x))
+        h0, h1 = rng.integers(0, n_rp, size=(2, n_rs))
+        c0, c1 = rng.integers(0, n_cp, size=(2, n_cs))
+        j, i, best = chsh._live_split_pairs(table, x < 0, h0, h1, c0, c1)
+
+        jj, ii = (a.ravel() for a in np.meshgrid(np.arange(n_cs), np.arange(n_rs), indexing="ij"))
+        x00, x01 = x[h0[ii], c0[jj]], x[h0[ii], c1[jj]]
+        x10, x11 = x[h1[ii], c0[jj]], x[h1[ii], c1[jj]]
+        m00, m01, m10, m11 = (np.where(np.isnan(v), np.float32(-np.inf), np.abs(v))
+                              for v in (x00, x01, x10, x11))
+        bound = (m00 + m10) + (m01 + m11)
+        low = np.minimum(np.minimum(m00, m01), np.minimum(m10, m11))
+        odd = (x00 < 0) ^ (x01 < 0) ^ (x10 < 0) ^ (x11 < 0)
+        with np.errstate(invalid="ignore"):  # -inf less -inf where a block is empty
+            want = bound - 2 * np.where(odd, np.float32(0), low)
+        live = bound > 2 - chsh._FLOAT_BAND
+        assert np.array_equal(j, jj[live]) and np.array_equal(i, ii[live])
+        assert best.dtype == np.float32 and best.tobytes() == want[live].tobytes()
+        # both verdicts and both parities occur
+        assert 0 < live.sum() < live.size
+        assert 0 < odd[live].sum() < live.sum()
+
+    def test_nothing_live(self):
+        table = np.full((6, 6), 0.25, dtype=np.float32)
+        j, i, best = chsh._live_split_pairs(
+            table, table < 0, np.arange(3), np.arange(3, 6), np.arange(3), np.arange(3, 6))
+        assert len(j) == len(i) == len(best) == 0
 
 
 def _cooc_from_counts(counts, method="frequency"):
@@ -696,26 +753,30 @@ def _cooc_from_counts(counts, method="frequency"):
 
 
 def _unpruned_scan(matrix, top_details):
-    """Reference scan: _split_kernel on every subset pair, then one global
-    (-|S|, subset-pair index) sort; returns (n_entangled, details)."""
+    """Reference scan: _split_kernel on every subset pair, one row subset at
+    a time, then one global (-|S|, subset-pair index) sort of the
+    violations; returns (n_entangled, details)."""
     counts, pair = matrix.counts, matrix.concept_pair
-    rows = list(combinations(range(counts.shape[0]), 4))
-    cols = list(combinations(range(counts.shape[1]), 4))
-    blocks = np.array([counts[np.ix_(r, c)] for r in rows for c in cols])
-    signed, argmax, _ = chsh._split_kernel(blocks)
-    violated = np.flatnonzero(np.abs(signed) > 2).tolist()
-    order = sorted(violated, key=lambda i: (-abs(signed[i]), i))
+    rows = np.array(list(combinations(range(counts.shape[0]), 4)))
+    cols = np.array(list(combinations(range(counts.shape[1]), 4)))
+    violations = []  # (subset-pair index, signed S, argmax)
+    for r, row in enumerate(rows):
+        signed, argmax, _ = chsh._split_kernel(counts[row[None, :, None], cols[:, None, :]])
+        found = np.flatnonzero(np.abs(signed) > 2)
+        violations += zip((r * len(cols) + found).tolist(), signed[found].tolist(),
+                          argmax[found].tolist())
+    order = sorted(violations, key=lambda v: (-abs(v[1]), v[0]))
     details = tuple(
         PairDetail(
             row_terms=tuple(pair.c1[i] for i in rows[idx // len(cols)]),
             col_terms=tuple(pair.c2[j] for j in cols[idx % len(cols)]),
-            s=float(signed[idx]),
-            row_partition=enumerate_partitions()[argmax[idx]][0],
-            col_partition=enumerate_partitions()[argmax[idx]][1],
+            s=s,
+            row_partition=enumerate_partitions()[arg][0],
+            col_partition=enumerate_partitions()[arg][1],
         )
-        for idx in order[:top_details]
+        for idx, s, arg in order[:top_details]
     )
-    return len(violated), details if top_details > 0 else None
+    return len(violations), details if top_details > 0 else None
 
 
 @st.composite
@@ -862,9 +923,10 @@ class TestEntanglementProportion:
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("k, seed", [(4, 0), (5, 1), (6, 2), (7, 3), (8, 4)])
     def test_chunk_edges_equal_unpruned_reference(self, chunk, k, seed, monkeypatch):
-        # budgets of 1 and 7 subset pairs put a fixed count of live row splits
-        # inside one row subset's three splits; every chunk must end on a
-        # whole row subset, or a subset pair is counted once per chunk
+        # budgets of 1 and 7 bound entries are below one row split's entries
+        # (one per column pair), so every chunk takes the one whole row
+        # subset a chunk must hold at least, or a subset pair would be
+        # counted once per chunk
         counts = np.random.default_rng(seed).integers(0, 3, size=(k, k))
         matrix = _cooc_from_counts(counts)
         monkeypatch.setattr(chsh, "_SCAN_CHUNK", chunk)
@@ -909,6 +971,49 @@ class TestEntanglementProportion:
         (live, n_splits), (kept, n_kept) = (cols, rows) if transpose else (rows, cols)
         assert 0 < live < n_splits
         assert kept == n_kept
+
+    def test_chunk_edges_at_k13_with_pruned_columns(self, monkeypatch):
+        # eight flat columns prune most column splits; a budget of two row
+        # splits per chunk is smaller than the three live splits of most row
+        # subsets, so chunks hold one or two whole row subsets
+        counts = np.full((13, 13), 30, dtype=np.int64)
+        counts[:, :5] = np.random.default_rng(13).integers(0, 3, size=(13, 5))
+        matrix = _cooc_from_counts(counts)
+        seen = []
+        live_side = chsh._live_side
+
+        def recording_live_side(table, h0, h1):
+            seen.append(live_side(table, h0, h1))
+            return seen[-1]
+
+        monkeypatch.setattr(chsh, "_live_side", recording_live_side)
+        entanglement_proportion(matrix)
+        (col_h0, *_), (*_, row_number) = seen
+        assert 0 < len(col_h0) < 2145 // 2
+        assert (np.bincount(row_number) == 3).sum() > 100
+        n_entangled, details = _unpruned_scan(matrix, 1000)
+        assert n_entangled > 1000
+        for chunk in (1, 2 * len(col_h0)):
+            monkeypatch.setattr(chsh, "_SCAN_CHUNK", chunk)
+            for top_details in (0, 3, 1000):
+                report = entanglement_proportion(matrix, top_details=top_details)
+                assert report.n_pairs_entangled == n_entangled
+                assert report.details == (details[:top_details] if top_details else None)
+
+    def test_floor_keeps_ties_that_read_apart_in_float32(self):
+        # rows 0 and 5 are equal, so blocks of equal |S| sit in subset pairs
+        # whose splits add their |x| in other orders: of the four pairs tied
+        # at |S| = 2.8, numbers 17 and 182 read 2.8000002 in float32 and 101
+        # and 221 read 2.79999995. At top_details 3 the floor reaches
+        # 2.8000002, and only its band keeps pair 101, reported third.
+        counts = np.array([[1, 0, 2, 2, 2, 0], [0, 2, 1, 2, 2, 2], [1, 1, 0, 1, 1, 0],
+                           [2, 2, 0, 1, 2, 0], [1, 2, 1, 1, 2, 0], [1, 0, 2, 2, 2, 0]])
+        matrix = _cooc_from_counts(counts)
+        for top_details in (2, 3, 4):
+            report = entanglement_proportion(matrix, top_details=top_details)
+            assert report.details == _unpruned_scan(matrix, top_details)[1]
+        assert [abs(d.s) for d in report.details[1:]] == [2.8] * 3
+        assert report.details[2].row_terms == ("a0", "a2", "a3", "a4")
 
     def test_all_to_kernel_in_capped_batches(self, bundled_by_id, monkeypatch):
         # a band wider than any |S| prunes nothing and calls every subset pair

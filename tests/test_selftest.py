@@ -71,7 +71,8 @@ def test_wrong_float_verdict_fails(violated, close, monkeypatch):
 
 
 def test_scan_without_the_band_fails(monkeypatch, capsys):
-    # with no band the scan's floats count the exact tie, which reads above 2
+    # with no band the scan's float32 values count the exact tie, which
+    # reads 2 + 2**-22
     monkeypatch.setattr(chsh, "_FLOAT_BAND", 0.0)
     by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
     assert not by_name["scan verdicts"].passed
@@ -83,7 +84,7 @@ def test_scan_without_the_band_fails(monkeypatch, capsys):
 def test_verdict_without_the_band_fails(monkeypatch, capsys):
     # with no band the float32 verdict calls the exact tie that reads
     # 2 + 2**-22 a violation
-    monkeypatch.setattr(chsh._FloatVerdict, "BAND", 0.0)
+    monkeypatch.setattr(chsh, "_FLOAT_BAND", 0.0)
     by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
     assert not by_name["ordering equivalence"].passed
     assert "float verdict decides" in by_name["ordering equivalence"].detail
