@@ -63,6 +63,10 @@ def _window_size(value) -> int:
     return size
 
 
+# positions per temporary range that TopicCorpus.windows adds in place
+_POSITION_SLICE = 1 << 12
+
+
 class CorpusError(Exception):
     """A manifest, document or vocabulary problem that makes a run impossible."""
 
@@ -246,14 +250,25 @@ class TopicCorpus:
         """
         window_size = _window_size(window_size)
         lengths = np.array([len(d) for d in self.documents], dtype=np.intp)
-        per_doc = -(-lengths // window_size)
-        doc_start = np.cumsum(lengths) - lengths
-        first_window = np.cumsum(per_doc) - per_doc
-        offset = np.arange(lengths.sum(), dtype=np.intp) - np.repeat(doc_start, lengths)
+        # Offsets in a document stay below its length, so capping the width
+        # at the longest document changes no quotient, and first_window[d] *
+        # width stays below the positions plus documents x longest document.
+        width = min(window_size, int(lengths.max()) or 1)
+        per_doc = -(-lengths // width)
+        # Position p of document d lies in window (p + shift[d]) // width,
+        # shift[d] = first_window[d] * width - doc_start[d], as
+        # first_window[d] * width is a multiple of width. One intp array is
+        # built from the shifts and rewritten in place.
+        shift = (np.cumsum(per_doc) - per_doc) * width - (np.cumsum(lengths) - lengths)
+        window_of = np.repeat(shift, lengths)
+        for start in range(0, len(window_of), _POSITION_SLICE):
+            part = window_of[start : start + _POSITION_SLICE]
+            part += np.arange(start, start + len(part))
+        window_of //= width
         return TopicWindows(
             window_size=window_size,
             ids=self.ids,
-            window_of=np.repeat(first_window, lengths) + offset // window_size,
+            window_of=window_of,
             n_windows=int(per_doc.sum()),
             vocabulary=self.vocabulary,
         )

@@ -2,10 +2,14 @@
 
 A run walks every (topic, window size, relevance method) cell: builds the
 concept pair, counts the co-occurrence matrix, scans all 4-term subset
-pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. Cells
-are independent jobs executed on a thread pool capped by ENTANGLE_THREADS;
-all files are written serially in a deterministic order and carry no
-timestamps, so identical configurations produce bitwise-identical output.
+pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. Each
+(topic, window size) is one job on a thread pool capped by
+ENTANGLE_THREADS: it builds that window index, runs the cells of every
+method on it, and drops it when they end, so the run holds at most one
+index per pool thread besides the loaded corpus, and builds each index
+once. All files are written serially in a deterministic order and carry
+no timestamps, so identical configurations produce bitwise-identical
+output.
 
 This module is the only one that writes files, and ``_write_csv`` and
 ``_write_json`` hold the byte format of every artifact: UTF-8, "\n" line
@@ -148,33 +152,23 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
                 build_concept_pair(ranked, config.concept_size),
             )
 
-    windows = {
-        (topic.topic_id, w): topic.windows(w)
-        for topic in topics
-        for w in config.window_sizes
-    }
+    # one job per (topic, W), so each window index is built once and
+    # dropped when that W's cells end
+    def run_window(job):
+        topic, window_size = job
+        windows = topic.windows(window_size)
+        cells = {}
+        for method in config.methods:
+            matrix = count_cooccurrences(pairs[(topic.topic_id, method)][1], windows)
+            report = entanglement_proportion(matrix, top_details=config.top_violations)
+            cells[(window_size, method)] = (report, cooccurrence_histogram(matrix), matrix)
+        return topic.topic_id, cells
 
-    def run_cell(job):
-        topic_id, window_size, method = job
-        pair = pairs[(topic_id, method)][1]
-        matrix = count_cooccurrences(pair, windows[(topic_id, window_size)])
-        report = entanglement_proportion(matrix, top_details=config.top_violations)
-        return job, (report, cooccurrence_histogram(matrix), matrix)
-
-    jobs = [
-        (topic.topic_id, w, m)
-        for topic in topics
-        for w in config.window_sizes
-        for m in config.methods
-    ]
-    results = {}
-    with ThreadPoolExecutor(max_workers=max_workers(len(jobs))) as pool:
-        for job, cell in pool.map(run_cell, jobs):
-            results[job] = cell
-
+    jobs = [(topic, w) for topic in topics for w in config.window_sizes]
     reports = {topic.topic_id: TopicReport(topic_id=topic.topic_id) for topic in topics}
-    for (topic_id, w, m), cell in results.items():
-        reports[topic_id].cells[(w, m)] = cell
+    with ThreadPoolExecutor(max_workers=max_workers(len(jobs))) as pool:
+        for topic_id, cells in pool.map(run_window, jobs):
+            reports[topic_id].cells.update(cells)
 
     ordered = _sorted_reports(reports.values(), config.methods[0], config)
     _write_outputs(ordered, pairs, config)

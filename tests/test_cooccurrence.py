@@ -2,7 +2,9 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from entangletext import (
     count_cooccurrences,
     load_topic_corpus,
 )
+from entangletext import cooccurrence
 
 from oracles import (
     cooccurrence_reference,
@@ -236,6 +239,163 @@ class TestCountCooccurrences:
         assert matrix.counts.tolist() == ref_counts
         assert matrix.n_windows == len(windows) == ref_windows
         assert matrix.window_size == width
+
+
+def _dense_counts(pair, windows):
+    """The count as one 0/1 presence matrix over every window at once."""
+    k = len(pair.c1)
+    index = windows.vocabulary.index
+    present = np.zeros((windows.n_windows, 2 * k), dtype=np.int64)
+    for slot, term in enumerate(pair.c1 + pair.c2):
+        if term in index:
+            present[windows.window_of[windows.ids == index[term]], slot] = 1
+    return (present[:, :k].T @ present[:, k:]).tolist()
+
+
+def _reference_counts(pair, windows):
+    """cooccurrence_reference over the term lists of the windows as numbered."""
+    tiles = tiles_from_indices(
+        windows.ids.tolist(), windows.window_of.tolist(), len(windows),
+        windows.vocabulary.terms,
+    )
+    width = max(map(len, tiles), default=0) or 1
+    return cooccurrence_reference(tiles, width, pair.c1, pair.c2)[0]
+
+
+def _renumbered(windows, numbering, rng):
+    """The same windows under another numbering, positions reordered to match:
+    "reversed" numbers them from the last and lists positions backwards;
+    "shuffled" permutes the window numbers and the positions at random."""
+    if numbering == "ascending":
+        return windows
+    if numbering == "reversed":
+        window_of = (len(windows) - 1 - windows.window_of)[::-1]
+        ids = windows.ids[::-1]
+    else:
+        order = rng.permutation(windows.ids.size)
+        window_of = rng.permutation(len(windows))[windows.window_of[order]]
+        ids = windows.ids[order]
+    return TopicWindows(
+        window_size=windows.window_size, ids=ids, window_of=window_of,
+        n_windows=len(windows), vocabulary=windows.vocabulary,
+    )
+
+
+class TestCountBlocks:
+    """Counting one block of windows at a time, with the block made tiny so
+    that block edges fall between nearly every pair of windows."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_windows_at_block_edges(self, block):
+        # W = 3: window w holds positions 3w .. 3w + 2. a0 ends window 1 and
+        # b0 starts window 2, a2 and b2 are in windows 4 and 5, so no window
+        # holds both; a1 and b1 open and close window 3. With 2 windows per
+        # block, windows 1 and 2 fall in adjacent blocks.
+        pair = _pair(4)
+        terms = ["x", "x", "x", "x", "x", "a0", "b0", "x", "x",
+                 "a1", "x", "b1", "a2", "x", "x", "x", "b2", "x"]
+        windows = TopicCorpus("t", (_sequence(terms),)).windows(3)
+        with mock.patch.object(cooccurrence, "_BLOCK_WINDOWS", block):
+            matrix = count_cooccurrences(pair, windows)
+        assert matrix.counts.tolist() == _dense_counts(pair, windows)
+        assert matrix.counts.tolist() == _reference_counts(pair, windows)
+        assert matrix.counts.sum() == matrix.counts[1, 1] == 1
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_zero_hits(self, block):
+        pair = _pair(4)
+        windows = TopicCorpus("t", (_sequence(["x", "y"] * 20),)).windows(3)
+        with mock.patch.object(cooccurrence, "_BLOCK_WINDOWS", block):
+            matrix = count_cooccurrences(pair, windows)
+        assert matrix.counts.tolist() == _dense_counts(pair, windows) == [[0] * 4] * 4
+        assert matrix.n_windows == 14
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_blocks_with_hits_of_one_concept_only(self, block):
+        # windows 0-1 hold only c1 terms, windows 2-3 only c2 terms, and
+        # windows 4-5 both: with 2 windows per block only the last counts
+        pair = _pair(4)
+        terms = ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3",
+                 "a0", "b0", "a1", "b1"]
+        windows = TopicCorpus("t", (_sequence(terms),)).windows(2)
+        with mock.patch.object(cooccurrence, "_BLOCK_WINDOWS", block):
+            matrix = count_cooccurrences(pair, windows)
+        assert matrix.counts.tolist() == _dense_counts(pair, windows)
+        assert matrix.counts.tolist() == _reference_counts(pair, windows)
+        assert matrix.counts.sum() == 2 and matrix.counts[0, 0] == matrix.counts[1, 1] == 1
+
+    def test_window_numbers_at_the_top_of_intp(self):
+        top = int(np.iinfo(np.intp).max)
+        vocabulary = Vocabulary()
+        vocabulary.encode(["a0", "b0"])
+        windows = TopicWindows(
+            window_size=2, ids=[0, 1, 0, 1], window_of=[top - 1, top - 1, top, top],
+            n_windows=top + 1, vocabulary=vocabulary,
+        )
+        assert count_cooccurrences(_pair(1), windows).counts.tolist() == [[2]]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_dense_and_reference_under_any_numbering(self, data):
+        terms = [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)] + ["x", "y"]
+        docs = data.draw(st.lists(st.lists(st.sampled_from(terms), max_size=20), max_size=5))
+        width = data.draw(st.integers(1, 5))
+        block = data.draw(st.sampled_from([1, 2, 7]))
+        check_slice = data.draw(st.sampled_from([1, 2, 3, 1 << 16]))
+        numbering = data.draw(st.sampled_from(["ascending", "reversed", "shuffled"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vocabulary = Vocabulary()
+        sequences = tuple(
+            TermSequence(f"d{i}", vocabulary.encode(doc), vocabulary) for i, doc in enumerate(docs)
+        ) or (TermSequence("empty", [], vocabulary),)
+        windows = _renumbered(TopicCorpus("t", sequences).windows(width), numbering, rng)
+        pair = _pair(4)
+        with mock.patch.multiple(
+            cooccurrence, _BLOCK_WINDOWS=block, _CHECK_SLICE=check_slice
+        ):
+            matrix = count_cooccurrences(pair, windows)
+        assert matrix.counts.tolist() == _dense_counts(pair, windows)
+        assert matrix.counts.tolist() == _reference_counts(pair, windows)
+        assert matrix.n_windows == len(windows)
+
+
+class TestCountMemory:
+    # traced bytes count_cooccurrences may allocate above its inputs; the
+    # block temporaries take about 0.44 MB at k = 10 and W = 5, while one
+    # presence matrix over every window took 5 MB at N and 40 MB at 8N
+    BOUND = 1_000_000
+
+    @staticmethod
+    def _topic(n_tokens):
+        """n_tokens in 20 documents, about 60% of them concept terms."""
+        rng = np.random.default_rng(n_tokens)
+        vocabulary = Vocabulary()
+        vocabulary.encode(list(_pair().c1 + _pair().c2) + [f"z{i}" for i in range(40)])
+        hit = rng.random(n_tokens) < 0.6
+        ids = np.where(hit, rng.integers(0, 20, n_tokens), rng.integers(20, 60, n_tokens))
+        return TopicCorpus("t", tuple(
+            TermSequence(f"d{i}", part, vocabulary)
+            for i, part in enumerate(np.array_split(ids, 20))
+        ))
+
+    @pytest.mark.parametrize("n_tokens", [100_000, 800_000])
+    def test_peak_does_not_grow_with_windows(self, n_tokens):
+        windows = self._topic(n_tokens).windows(5)
+        pair = _pair()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = count_cooccurrences(pair, windows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert matrix.n_windows == n_tokens // 5
+        assert peak < self.BOUND
+
+
+def _sequence(terms):
+    vocabulary = Vocabulary()
+    return TermSequence("d", vocabulary.encode(terms), vocabulary)
 
 
 def _bundled_pair(topic):

@@ -173,6 +173,39 @@ class TestSegmentWindows:
         assert tiles == [t for d in docs for t in tile_reference(d.terms, 4)]
         assert [len(t) for t in tiles] == [4, 3, 3, 4, 4, 2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=12),
+        width=st.one_of(st.integers(min_value=1, max_value=70), st.just(2**62)),
+    )
+    def test_window_index_matches_per_document_formula(self, lengths, width):
+        """window_of is bit-identical to first window of the document plus
+        offset // W, over any document lengths, empty documents included,
+        and a width far beyond every document."""
+        vocabulary = Vocabulary()
+        vocabulary.add("w")
+        docs = tuple(TermSequence(f"d{i}", [0] * n, vocabulary) for i, n in enumerate(lengths))
+        windows = TopicCorpus(topic_id="t", documents=docs).windows(width)
+
+        lengths = np.array(lengths, dtype=np.intp)
+        per_doc = -(-lengths // width)
+        doc_start = np.cumsum(lengths) - lengths
+        first_window = np.cumsum(per_doc) - per_doc
+        offset = np.arange(lengths.sum(), dtype=np.intp) - np.repeat(doc_start, lengths)
+        expected = np.repeat(first_window, lengths) + offset // width
+        assert windows.window_of.dtype == expected.dtype
+        assert np.array_equal(windows.window_of, expected)
+        assert windows.n_windows == int(per_doc.sum())
+
+    def test_window_index_across_position_slices(self, monkeypatch):
+        """The in-place ranges added a slice at a time cover every position."""
+        monkeypatch.setattr(corpus, "_POSITION_SLICE", 3)
+        vocabulary = Vocabulary()
+        vocabulary.add("w")
+        docs = tuple(TermSequence(f"d{i}", [0] * n, vocabulary) for i, n in enumerate([5, 0, 7, 1]))
+        windows = TopicCorpus(topic_id="t", documents=docs).windows(2)
+        assert windows.window_of.tolist() == [0, 0, 1, 1, 2, 3, 3, 4, 4, 5, 5, 6, 7]
+
 
 class TestTermIds:
     def test_ids_outside_vocabulary_rejected(self):
