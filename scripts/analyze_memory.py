@@ -12,7 +12,6 @@ tracemalloc and once untraced. Each line holds:
 - held_corpus_mb: those tokens as the int32 term ids the corpus holds
 - traced_peak_mb: the tracemalloc peak of the traced run
 - max_rss_mb: the peak resident memory of the untraced run
-- threads: the analysis pool size the run had
 
 The package measured is the one the interpreter imports, so run it from
 the repository root as
@@ -78,7 +77,6 @@ def measure(manifest: Path, traced: bool) -> dict:
         "kept_tokens": tokens,
         "held_corpus_mb": tokens * 4 / 1e6,
         "traced_peak_mb": peak / 1e6,
-        "threads": report.max_workers(len(topics) * len(config.window_sizes)),
     }
 
 

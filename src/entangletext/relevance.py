@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 CONCEPT_SIZE = 10
+_COUNT_RUN = 1 << 16  # tokens at which a run of documents is bincounted
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,25 @@ def document_frequencies(collection: Iterable[TopicCorpus]) -> np.ndarray:
 
 
 def _term_counts(topic: TopicCorpus) -> tuple[np.ndarray, list[str], list[int]]:
-    """Ids of the topic's distinct terms, the terms, and their counts (Python ints)."""
-    tf = np.bincount(topic.ids, minlength=len(topic.vocabulary))
+    """Ids of the topic's distinct terms, the terms, and their counts (Python ints).
+
+    The counts are summed over bincounts of runs of whole documents. A run
+    closes once it holds max(_COUNT_RUN, vocabulary size) tokens, so its
+    temporaries (the joined int32 ids and bincount's intp copy of them) stay
+    near that size plus one document, and the runs' vocabulary-long sums cost
+    no more than the tokens.
+    """
+    n_terms = len(topic.vocabulary)
+    limit = max(_COUNT_RUN, n_terms)
+    tf = np.zeros(n_terms, dtype=np.intp)
+    last = len(topic.documents) - 1
+    run, size = [], 0
+    for i, doc in enumerate(topic.documents):
+        run.append(doc.ids)
+        size += len(doc.ids)
+        if size >= limit or i == last:
+            tf += np.bincount(np.concatenate(run), minlength=n_terms)
+            run, size = [], 0
     present = np.flatnonzero(tf)
     terms = topic.vocabulary.terms
     return present, [terms[i] for i in present.tolist()], tf[present].tolist()

@@ -2,14 +2,13 @@
 
 A run walks every (topic, window size, relevance method) cell: builds the
 concept pair, counts the co-occurrence matrix, scans all 4-term subset
-pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. Each
-(topic, window size) is one job on a thread pool capped by
-ENTANGLE_THREADS: it builds that window index, runs the cells of every
-method on it, and drops it when they end, so the run holds at most one
-index per pool thread besides the loaded corpus, and builds each index
-once. All files are written serially in a deterministic order and carry
-no timestamps, so identical configurations produce bitwise-identical
-output.
+pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. The
+cells run in order on the calling thread. For each (topic, window size)
+the run builds that window index, runs the cells of every method on it,
+and drops it, so it holds one window index at a time besides the loaded
+corpus, and builds each index once. All files are written in a
+deterministic order and carry no timestamps, so identical configurations
+produce bitwise-identical output.
 
 This module is the only one that writes files, and ``_write_csv`` and
 ``_write_json`` hold the byte format of every artifact: UTF-8, "\n" line
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -43,9 +41,9 @@ from .relevance import (
     rank_by_frequency,
     rank_by_tfidf,
 )
-from .simulation import CurveSet, max_workers, parameter_sweep
+from .simulation import CurveSet, parameter_sweep
 
-__all__ = ["RunConfig", "TopicReport", "run_analyze", "run_simulate", "max_workers"]
+__all__ = ["RunConfig", "TopicReport", "run_analyze", "run_simulate"]
 
 DEFAULT_METHODS = ("frequency", "tfidf")
 
@@ -133,7 +131,6 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
     smallest window size for the first configured method, ties by topic_id).
     """
     _check_can_be_dir(config.out_dir)
-    max_workers(1)  # a malformed ENTANGLE_THREADS fails here, before the corpus is read
     pipeline = _pipeline_config(config)
     topics = load_topic_corpus(config.manifest, pipeline)
     df = document_frequencies(topics)
@@ -152,25 +149,24 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
                 build_concept_pair(ranked, config.concept_size),
             )
 
-    # one job per (topic, W), so each window index is built once and
-    # dropped when that W's cells end
-    def run_window(job):
-        topic, window_size = job
-        windows = topic.windows(window_size)
-        cells = {}
-        for method in config.methods:
-            matrix = count_cooccurrences(pairs[(topic.topic_id, method)][1], windows)
-            report = entanglement_proportion(matrix, top_details=config.top_violations)
-            cells[(window_size, method)] = (report, cooccurrence_histogram(matrix), matrix)
-        return topic.topic_id, cells
+    # one window index at a time: each is built once and dropped before the next
+    reports = []
+    for topic in topics:
+        report = TopicReport(topic_id=topic.topic_id)
+        reports.append(report)
+        for window_size in config.window_sizes:
+            windows = topic.windows(window_size)
+            for method in config.methods:
+                matrix = count_cooccurrences(pairs[(topic.topic_id, method)][1], windows)
+                proportion = entanglement_proportion(matrix, top_details=config.top_violations)
+                report.cells[(window_size, method)] = (
+                    proportion,
+                    cooccurrence_histogram(matrix),
+                    matrix,
+                )
+            del windows
 
-    jobs = [(topic, w) for topic in topics for w in config.window_sizes]
-    reports = {topic.topic_id: TopicReport(topic_id=topic.topic_id) for topic in topics}
-    with ThreadPoolExecutor(max_workers=max_workers(len(jobs))) as pool:
-        for topic_id, cells in pool.map(run_window, jobs):
-            reports[topic_id].cells.update(cells)
-
-    ordered = _sorted_reports(reports.values(), config.methods[0], config)
+    ordered = _sorted_reports(reports, config.methods[0], config)
     _write_outputs(ordered, pairs, config)
     return ordered
 

@@ -1,11 +1,16 @@
 """Ranking arithmetic, tie rules, and concept-pair construction."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entangletext import relevance
 from entangletext import (
     ConceptPair,
     CorpusError,
@@ -160,6 +165,69 @@ class TestTermStatistics:
         df = document_frequencies(bundled_topics)
         # shared vocabulary occurs in documents of other topics too
         assert df[topic.vocabulary.index["report"]] > len(topic.documents)
+
+
+class TestTermCountRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.integers(0, 11), max_size=9), min_size=1, max_size=8),
+        run=st.sampled_from([1, 2, 7, 1 << 16]),
+    )
+    def test_counts_match_reference_at_any_run_size(self, docs, run):
+        # runs close inside, at and after the last document, around empty ones
+        terms = [[f"t{i}" for i in doc] for doc in docs]
+        topic = _topic("t", terms)
+        reference = frequency_ranking_reference(terms)
+        with mock.patch.object(relevance, "_COUNT_RUN", run):
+            ranked = rank_by_frequency(topic)
+        assert list(ranked.terms) == [(t, float(c)) for t, c in reference]
+
+    def test_a_run_holds_at_least_a_vocabulary_of_tokens(self):
+        # 200 documents of 10 tokens over 500 terms: 4 bincounts of 500
+        # tokens each, not one vocabulary-long bincount per document
+        topic = TestRankingMemory._topic(2_000)
+        with mock.patch.object(relevance, "_COUNT_RUN", 1), mock.patch.object(
+            relevance.np, "bincount", wraps=np.bincount
+        ) as bincount:
+            rank_by_frequency(topic)
+        assert [len(call.args[0]) for call in bincount.call_args_list] == [500] * 4
+
+
+class TestRankingMemory:
+    # traced bytes a ranking may allocate above its topic: runs of about
+    # _COUNT_RUN tokens keep the joined ids and their intp copy near 0.8 MB,
+    # while one bincount over the topic's ids took 1.2 MB at N and 9.6 MB at 8N
+    BOUND = 1_000_000
+
+    @staticmethod
+    def _topic(n_tokens):
+        """n_tokens over 500 terms in 200 documents."""
+        rng = np.random.default_rng(n_tokens)
+        vocabulary = Vocabulary()
+        vocabulary.encode([f"t{i}" for i in range(500)])
+        ids = rng.integers(0, 500, n_tokens)
+        return TopicCorpus("t", tuple(
+            TermSequence(f"d{i}", part, vocabulary)
+            for i, part in enumerate(np.array_split(ids, 200))
+        ))
+
+    @pytest.mark.parametrize("method", ["frequency", "tfidf"])
+    @pytest.mark.parametrize("n_tokens", [100_000, 800_000])
+    def test_peak_does_not_grow_with_tokens(self, n_tokens, method):
+        topic = self._topic(n_tokens)
+        df = document_frequencies([topic])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            if method == "frequency":
+                ranked = rank_by_frequency(topic)
+            else:
+                ranked = rank_by_tfidf(topic, [topic], df=df)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ranked.terms) == 500
+        assert peak < self.BOUND
 
 
 class TestConceptPair:

@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 import tempfile
+import threading
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from entangletext import (
     RunConfig,
+    TopicCorpus,
     bundled_corpus_path,
     report,
     run_analyze,
@@ -25,7 +28,7 @@ from entangletext import (
 )
 from entangletext import cli
 from entangletext.cli import main
-from entangletext.report import max_workers
+from entangletext.simulation import max_workers
 
 DATA = Path(__file__).parent / "data"
 
@@ -139,6 +142,30 @@ class TestRunAnalyze:
         assert (tmp_path / "summary_tfidf.csv").exists()
         assert not (tmp_path / "summary_frequency.csv").exists()
         assert all((5, "tfidf") in r.cells for r in reports)
+
+    def test_cells_run_on_the_calling_thread_one_index_at_a_time(self, tmp_path, monkeypatch):
+        calls, built = [], []
+
+        def on_caller(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(report, name, wrapper)
+
+        def windows(topic, window_size):
+            assert all(ref() is None for ref in built)  # the previous index was dropped
+            index = build(topic, window_size)
+            built.append(weakref.ref(index))
+            return index
+
+        on_caller("count_cooccurrences", report.count_cooccurrences)
+        on_caller("entanglement_proportion", report.entanglement_proportion)
+        build = TopicCorpus.windows
+        monkeypatch.setattr(TopicCorpus, "windows", windows)
+        run_analyze(RunConfig(manifest=bundled_corpus_path(), out_dir=tmp_path))
+        caller = threading.get_ident()
+        assert calls == [("count_cooccurrences", caller), ("entanglement_proportion", caller)] * 18
 
     def test_invalid_config_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -439,17 +466,18 @@ class TestCli:
         assert proc.stderr == ""
         assert (tmp_path / "out" / "summary_frequency.csv").exists()
 
-    def test_non_integer_thread_cap_rejected_before_analyze_reads(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("the corpus was loaded before ENTANGLE_THREADS was checked")
+    def test_analyze_ignores_the_thread_cap(self, tmp_path, capsys, monkeypatch):
+        # ENTANGLE_THREADS caps only the simulate sweep; analyze runs serially
+        def files(name):
+            out = tmp_path / name
+            assert main(["analyze", str(bundled_corpus_path()), "--out", str(out)]) == 0
+            return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.*"))}
 
-        monkeypatch.setattr(report, "load_topic_corpus", must_not_run)
+        monkeypatch.delenv("ENTANGLE_THREADS", raising=False)
+        unset = files("unset")
         monkeypatch.setenv("ENTANGLE_THREADS", "many")
-        argv = ["analyze", str(bundled_corpus_path()), "--out", str(tmp_path / "o")]
-        self._assert_one_line_error(main(argv), capsys)
-        assert not (tmp_path / "o").exists()
+        assert files("many") == unset
+        assert capsys.readouterr().err == ""
 
     @staticmethod
     def _two_topic_manifest(tmp_path, topic_id):
