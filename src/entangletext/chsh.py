@@ -41,8 +41,11 @@ Clear verdicts are decided in float32 by the same split-pair rule:
 ``entanglement_proportion`` for the subset pairs that survive its prune.
 ``_band_verdict`` calls a float maximum of |S| violated above 2 + band and
 close within the band of 2, and the kernel re-decides the close ones. The
-band is ``_FLOAT_BAND``, 2**-16. A verdict outside the band is exact for
-any non-negative int64 counts; with u = 2**-24 the float32 unit roundoff:
+band is ``_FLOAT_BAND``, 2**-16. The simulator draws its counts as
+float32 straight into the verdict's buffer, so counts above 2**24 reach
+the verdict rounded, which the proof below allows; the kernel takes
+exact counts. A verdict outside the band is exact for any non-negative
+int64 counts; with u = 2**-24 the float32 unit roundoff:
 
 - Each count converts within a relative u, and each of the three
   additions or subtractions that form a block's numer, or its denom,
@@ -403,16 +406,23 @@ def _band_verdict(top: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]
 class _FloatVerdict:
     """Float32 verdict |S| > 2 for batches of up to ``capacity`` 4x4 count matrices.
 
-    Calling it on an (n, 4, 4) array of non-negative integer counts, n <=
-    capacity, returns boolean arrays (violated, close): ``violated`` where
-    the float maximum of |S| is above 2 + _FLOAT_BAND, ``close`` where it
-    is within _FLOAT_BAND of 2 (``_band_verdict``). Outside the band the
-    verdict is exact; only ``close`` matrices need ``chsh_max_abs_batch``.
-    Every call writes into float32 buffers allocated once here, the first
-    by a copy that transposes the counts and rounds them to float32, so
-    one instance serves every chunk of a sampling run with no temporaries
-    larger than its two results; an instance must not be shared between
-    threads.
+    ``decide(n)`` decides the n matrices in the (4, 4, n) float32 counts
+    buffer that ``buffers(n)`` returns, and returns boolean arrays
+    (violated, close): ``violated`` where the float maximum of |S| is
+    above 2 + _FLOAT_BAND, ``close`` where it is within _FLOAT_BAND of 2
+    (``_band_verdict``). Outside the band the verdict is exact; only
+    ``close`` matrices need ``chsh_max_abs_batch``. Calling the instance
+    on an (n, 4, 4) array of non-negative integer counts, n <= capacity,
+    first copies them into the counts buffer, transposed and rounded to
+    float32. An instance must not be shared between threads.
+
+    It keeps three float32 buffers, 136 floats per matrix, and every
+    intermediate lands in one of them: the counts buffer holds the counts,
+    then the sign flags; the sums buffer lends ``buffers`` an intp scratch
+    of 16 per matrix, then holds the row-pair sums and differences; the
+    block buffer holds numer and denom, then x and |x|, then, in x's half,
+    the split-pair halves and minima. So one instance serves every chunk
+    of a sampling run with no temporaries larger than its two results.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
@@ -430,26 +440,34 @@ class _FloatVerdict:
     """
 
     def __init__(self, capacity: int):
-        self._counts = np.empty((4, 4, capacity), np.float32)
-        self._sums = np.empty((2, 6, 4, capacity), np.float32)  # row-pair sums, differences
-        self._blocks = np.empty((2, 6, 6, capacity), np.float32)  # numer then x, denom then |x|
-        self._negative = np.empty((6, 6, capacity), dtype=bool)
-        self._halves = np.empty((2, 3, 6, capacity), np.float32)  # sum and min of two halves
-        self._odd = np.empty((3, 6, capacity), dtype=bool)
+        self._counts = np.empty(16 * capacity, np.float32)  # counts, then sign flags
+        self._sums = np.empty(48 * capacity, np.float32)  # scratch, then sums and differences
+        self._blocks = np.empty(72 * capacity, np.float32)  # numer, denom, then x, |x|
+
+    def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, scratch): the (4, 4, n) float32 counts ``decide(n)``
+        reads, and a (4, 4, n) intp array free for any use until then."""
+        return (self._counts[: 16 * n].reshape(4, 4, n),
+                self._sums.view(np.intp)[: 16 * n].reshape(4, 4, n))
 
     def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(counts)
-        f = self._counts[..., :n]
-        f[...] = counts.transpose(1, 2, 0)
-        x, mag = self._blocks[..., :n]
-        _block_terms(f, *self._sums[..., :n], x, mag)
+        self.buffers(n)[0][...] = counts.transpose(1, 2, 0)
+        return self.decide(n)
+
+    def decide(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        x, mag = self._blocks[: 72 * n].reshape(2, 6, 6, n)
+        _block_terms(self._counts[: 16 * n].reshape(4, 4, n),
+                     *self._sums[: 48 * n].reshape(2, 6, 4, n), x, mag)
         with np.errstate(invalid="ignore"):
             np.divide(x, mag, out=x)
-        negative = np.less(x, 0.0, out=self._negative[..., :n])
+        flags = self._counts.view(np.bool_)  # 64 bytes per matrix; the counts are dead
+        negative = np.less(x, 0.0, out=flags[: 36 * n].reshape(6, 6, n))
         np.abs(x, out=mag)
 
-        # split pair (s, t) of rows and columns lands at [s, t]
-        (halves, low), odd = self._halves[..., :n], self._odd[..., :n]
+        # split pair (s, t) of rows and columns lands at [s, t]; x is dead
+        halves, low = self._blocks[: 36 * n].reshape(2, 3, 6, n)
+        odd = flags[36 * n : 54 * n].reshape(3, 6, n)
         np.add(mag[:3], mag[:2:-1], out=halves)
         np.minimum(mag[:3], mag[:2:-1], out=low)
         np.not_equal(negative[:3], negative[:2:-1], out=odd)

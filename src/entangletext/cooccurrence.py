@@ -8,8 +8,9 @@ integer addition.
 
 ``count_cooccurrences`` uses that to keep its memory fixed as the topic
 grows. It walks the positions in window order, in blocks that each hold
-the whole of at most ``_BLOCK_WINDOWS`` consecutive window numbers. In a
-block it looks up the concept slot of every position, keeps only the
+the whole of at most ``_BLOCK_WINDOWS`` consecutive window numbers and
+at most ``_BLOCK_POSITIONS`` positions, but always one window at least.
+In a block it looks up the concept slot of every position, keeps only the
 hits (the positions whose term is in the concept pair), marks their
 (window, slot) presence in a 0/1 float32 matrix with one row per window
 of the block, and adds the product of the matrix's ``c1`` and ``c2``
@@ -17,7 +18,7 @@ halves to the int64 counts. Each entry of a block's product sums at
 most ``_BLOCK_WINDOWS`` products of 0 and 1, so while that constant
 stays below 2**24 every partial sum is an integer float32 holds
 exactly. The temporaries are bounded by the block, not by the number
-of windows.
+of windows or their width.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = ["CoocMatrix", "count_cooccurrences", "cooccurrence_histogram"]
 
 # window numbers per counting block; below 2**24 so float32 counts are exact
 _BLOCK_WINDOWS = 2048
+# positions per counting block, unless one window holds more; 2,048 windows
+# of width 64 fill it, so only wider windows make smaller blocks
+_BLOCK_POSITIONS = 1 << 17
 # positions per slice when checking that window numbers never decrease
 _CHECK_SLICE = 1 << 16
 _INTP_MAX = int(np.iinfo(np.intp).max)
@@ -94,6 +98,11 @@ def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
         # every position of windows first .. first + last, capped so the
         # edge stays an intp
         stop = int(np.searchsorted(window_of, min(first + last, _INTP_MAX), side="right"))
+        if stop - start > _BLOCK_POSITIONS:
+            # the windows before the one holding position start + _BLOCK_POSITIONS,
+            # or else window first alone
+            edge = int(window_of[start + _BLOCK_POSITIONS])
+            stop = int(np.searchsorted(window_of, edge, side="left" if edge > first else "right"))
         slots = slot_of.take(ids[start:stop])
         hits = np.flatnonzero(slots >= 0)
         if hits.size:

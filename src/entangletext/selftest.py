@@ -5,11 +5,12 @@ block expectations, the alternating large/small matrix whose best
 partition reaches 4 * 198/202, equivalence of the canonical 144-partition
 scan with the full 24 x 24 row/column ordering scan, the subset scan's
 verdicts, sampling-pmf normalization, and the simulator's guide-table
-draw held to ``searchsorted`` on keys at bucket edges and cdf steps. The
+draw, whose float32 values go straight to the float verdict, held to
+``searchsorted`` on keys at bucket edges and cdf steps. The
 large/small and ordering checks also hold ``chsh_max_abs_batch``, the
 exact kernel behind every verdict, and the float32 verdict that decides
 the clear ``simulate`` matrices to the exact ordering scan; a matrix the
-float verdict calls close must lie within its band (``_FloatVerdict.BAND``)
+float verdict calls close must lie within its band (``chsh._FLOAT_BAND``)
 of |S| = 2, where the exact kernel decides it. The scan check holds
 ``entanglement_proportion``, whose float32 values decide the clear subset
 pairs, to ``chsh_max_abs_batch`` on every subset block of a 6x6 matrix.
@@ -259,7 +260,9 @@ def _check_inverse_cdf_draw() -> CheckResult:
             [np.arange(k + 1) / k, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)]
         )
         want = np.minimum(np.searchsorted(cdf, keys, side="right") + 1, len(cdf))
-        if not np.array_equal(_InverseCdfDraw(cdf, keys.size)(keys), want):
+        got = _InverseCdfDraw(cdf)(keys, np.empty(keys.shape, np.float32),
+                                   np.empty(keys.shape, np.intp))
+        if not np.array_equal(got, want):
             return CheckResult(
                 "inverse-CDF draw", False, f"differs from searchsorted for {spec.kind}"
             )

@@ -9,21 +9,26 @@ clipped to B, for every uniform key u, through a guide table
 exact bucket, the bucket edges are decided by the same ``searchsorted``,
 and only keys in buckets that straddle a cdf step fall back to it.
 
-Matrices are sampled and decided in chunks: a float32 verdict
-(``chsh._FloatVerdict``) decides every matrix whose float maximum of |S|
-lies more than its band, 2**-16, from 2, where its rounding error cannot
-change the answer. Only the matrices inside that band go through the
-exact ``chsh_max_abs_batch``, so every count is exact. They are few (a
-few hundred in the 800,000 matrices of the default figure sweep), so
-each estimate collects them over its chunks and re-decides them in
-batches of at most one chunk, not once per chunk. The buffers of the
-uniforms, the draw and the verdict are allocated once per estimate and
-reused by every chunk.
+Matrices are sampled and decided in chunks. The draw writes each chunk's
+counts as float32 straight into the buffer of a float32 verdict
+(``chsh._FloatVerdict``), which decides every matrix whose float maximum
+of |S| lies more than its band, 2**-16, from 2, where its rounding error
+cannot change the answer. Only the matrices inside that band go through
+the exact ``chsh_max_abs_batch``, so every count is exact; their counts
+are drawn again by ``searchsorted`` on their own uniforms, as float32
+rounds counts above 2**24. They are few (a few hundred in the 820,000
+matrices of the default figure sweep), so each estimate collects them
+over its chunks and re-decides them at most ``chsh._KERNEL_BATCH`` per
+kernel call, not once per chunk. The uniforms and the verdict's three
+float32 buffers, about 670 bytes per matrix, are allocated once per
+sweep worker, or per estimate off a sweep, and reused by every chunk;
+the draw borrows one of the verdict's buffers for its bucket numbers.
 
 All randomness flows through numpy Generators seeded explicitly, so
 every estimate is reproducible bit for bit. Sweep points run on a thread
-pool capped by ENTANGLE_THREADS; each point owns its Generator and its
-buffers, so a sweep does not depend on the thread count.
+pool capped by ENTANGLE_THREADS; each point owns its Generator, and
+every buffer is written before it is read, so a sweep does not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chsh import VIOLATION_BOUND, _FloatVerdict, chsh_max_abs_batch
+from .chsh import _KERNEL_BATCH, VIOLATION_BOUND, _FloatVerdict, chsh_max_abs_batch
 from .corpus import _integer
 
 __all__ = [
@@ -50,16 +56,17 @@ __all__ = [
     "parameter_sweep",
 ]
 
-# Matrices per sampling chunk; the reused buffers take about 1.1 KB per
-# matrix, 0.7 KB of it the verdict's float32 buffers, and the close
-# matrices awaiting the exact kernel at most 128 bytes more. With the
-# float64 verdict (1.8 KB per matrix), on the default 80-point figure
-# sweep (2 vCPUs, median of 5 alternating fresh-interpreter runs), 2,048
-# took 0.48 s on two threads against 0.67, 0.53 and 0.59 s for 1,024,
-# 4,096 and 8,192, with peak RSS 41, 45, 52 and 66 MB for the four sizes;
-# on one thread 1,024 to 4,096 ran within noise (0.78-0.83 s) and 8,192
-# took 1.01 s.
-_SAMPLE_CHUNK = 2048
+# Matrices per sampling chunk; the reused buffers take about 670 bytes per
+# matrix (128 of uniforms, 544 of the verdict's float32 buffers), and the
+# close matrices awaiting the exact kernel 128 bytes each. Each chunk
+# makes about 40 numpy calls, and on the sweep's thread pool each call
+# hands the GIL between the workers, so a larger chunk spends less per
+# matrix on hand-offs. On the default figure sweep plus the homogeneous
+# and Poisson points (2 vCPUs, median of 8 alternating fresh interpreters
+# of 5 sweeps each), 4,096 took 0.211 s on two threads against 0.232 s for
+# 2,048; on one thread, where no GIL changes hands, 0.323 against 0.281 s,
+# with overlapping quartiles (a chunk's 2.75 MB exceed a 2 MB L2 cache).
+_SAMPLE_CHUNK = 4096
 
 # the zipf grid of the paper's figure: 0.1, 0.2, ..., 2.0
 DEFAULT_EXPONENTS = tuple(round(0.1 * i, 10) for i in range(1, 21))
@@ -165,7 +172,7 @@ def _guide_buckets(n_values: int) -> int:
 
 
 class _InverseCdfDraw:
-    """Values 1..B drawn from ``cdf`` for up to ``capacity`` uniform keys.
+    """Values 1..B drawn from ``cdf`` for uniform keys.
 
     Each key u in [0, 1] gets ``min(searchsorted(cdf, u, side="right") + 1,
     B)`` through a guide table of K + 1 buckets, bucket j holding
@@ -173,41 +180,71 @@ class _InverseCdfDraw:
     is the key's bucket. The table holds ``searchsorted`` of every bucket
     edge; since ``searchsorted`` is monotone, a bucket whose two edges map
     to one index maps every key inside it there, so one gather draws those
-    keys. Keys in buckets that straddle a cdf step go through
-    ``searchsorted`` itself. Each call writes into buffers allocated here
-    and returns a view of them.
+    keys. The table holds its values as float32, the type the verdict
+    reads, and 0 for a bucket that straddles a cdf step; keys gathered as
+    0 go through ``searchsorted`` itself (``exact``). Float32 rounds values
+    above 2**24, so the exact kernel takes its counts from ``exact``.
     """
 
-    def __init__(self, cdf: np.ndarray, capacity: int):
+    def __init__(self, cdf: np.ndarray):
         self._cdf = cdf
         self._k = _guide_buckets(len(cdf))
         lo = np.searchsorted(cdf, np.arange(self._k + 2) / self._k, side="right")
-        self._values = np.minimum(lo[:-1] + 1, len(cdf))
-        self._straddles = lo[:-1] != lo[1:]
-        self._bucket = np.empty(capacity, dtype=np.intp)
-        self._out = np.empty(capacity, dtype=np.intp)
-        self._straddling = np.empty(capacity, dtype=bool)
+        values = np.minimum(lo[:-1] + 1, len(cdf))
+        self._values = np.where(lo[:-1] == lo[1:], values, 0).astype(np.float32)
 
-    def __call__(self, uniforms: np.ndarray) -> np.ndarray:
-        keys = uniforms.reshape(-1)
-        n = keys.size
-        bucket = np.multiply(keys, self._k, out=self._bucket[:n], casting="unsafe")
+    def __call__(self, keys: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The value of every key into the float32 ``out``, of the shape of
+        ``keys``, with the intp ``scratch`` of that shape for the buckets."""
+        bucket = np.multiply(keys, self._k, out=scratch, casting="unsafe")
         # "clip" avoids the buffered bounds check of "raise"; it sends any key
         # past the table to bucket K, which is exact for every u >= 1
-        out = np.take(self._values, bucket, out=self._out[:n], mode="clip")
-        straddling = np.take(self._straddles, bucket, out=self._straddling[:n], mode="clip")
-        fallback = np.flatnonzero(straddling)
-        if fallback.size:
-            exact = np.searchsorted(self._cdf, keys[fallback], side="right")
-            exact += 1
-            out[fallback] = np.minimum(exact, len(self._cdf), out=exact)
-        return out.reshape(uniforms.shape)
+        np.take(self._values, bucket, out=out, mode="clip")
+        straddling = np.flatnonzero(out == 0)
+        if straddling.size:
+            index = np.unravel_index(straddling, out.shape)
+            out[index] = self.exact(keys[index])
+        return out
+
+    def exact(self, keys: np.ndarray) -> np.ndarray:
+        """The value of every key as an intp array, by ``searchsorted``."""
+        values = np.searchsorted(self._cdf, keys, side="right")
+        values += 1
+        return np.minimum(values, len(self._cdf), out=values)
 
 
 def _exact_violations(matrices: list[np.ndarray]) -> int:
-    """How many matrices of the listed (n, 4, 4) count batches violate, decided exactly."""
-    max_abs, _, _ = chsh_max_abs_batch(np.concatenate(matrices))
-    return int(np.count_nonzero(max_abs > VIOLATION_BOUND))
+    """How many matrices of the listed (n, 4, 4) count batches violate,
+    decided exactly, at most _KERNEL_BATCH per kernel call."""
+    queued = np.concatenate(matrices)
+    n_violations = 0
+    for first in range(0, len(queued), _KERNEL_BATCH):
+        max_abs, _, _ = chsh_max_abs_batch(queued[first : first + _KERNEL_BATCH])
+        n_violations += int(np.count_nonzero(max_abs > VIOLATION_BOUND))
+    return n_violations
+
+
+# The sampling buffers of the sweep worker running on this thread, reused
+# by every point it samples: allocated per point, they went back to the
+# system after each one and were faulted in again, about 24,000 page
+# faults per default sweep on two threads. Only a sweep pool's threads
+# hold them, so they go when the pool shuts down.
+_worker = threading.local()
+
+
+def _start_worker() -> None:
+    _worker.buffers = None
+
+
+def _chunk_buffers(chunk: int) -> tuple[np.ndarray, _FloatVerdict]:
+    """Uniforms and float verdict for chunks of ``chunk`` matrices: a sweep
+    worker's own, kept from point to point, or new ones off the pool."""
+    buffers = getattr(_worker, "buffers", None)
+    if buffers is None or len(buffers[0]) != chunk:
+        buffers = np.empty((chunk, 4, 4)), _FloatVerdict(chunk)
+        if hasattr(_worker, "buffers"):
+            _worker.buffers = buffers
+    return buffers
 
 
 def estimate_violation_probability(
@@ -217,35 +254,36 @@ def estimate_violation_probability(
 
     Fully determined by (spec, n_samples, seed); sampling is chunked but the
     uniform stream, and hence the estimate, is independent of chunk size.
-    The float32 verdict decides each chunk's clear matrices, and
-    ``chsh_max_abs_batch`` re-decides only those within its band of |S| =
-    2, collected over the chunks and passed at most ``chunk`` at a time.
+    The draw writes each chunk's float32 counts into the verdict's buffer,
+    and the float32 verdict decides the clear matrices. Those within its
+    band of |S| = 2 are drawn again exactly from their own uniforms,
+    collected over the chunks, and re-decided by ``chsh_max_abs_batch``
+    at most _KERNEL_BATCH at a time.
     """
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(distribution_pmf(spec))
-    chunk = min(n_samples, _SAMPLE_CHUNK)
-    uniforms = np.empty((chunk, 4, 4))
-    draw = _InverseCdfDraw(cdf, uniforms.size)
-    verdict = _FloatVerdict(chunk)
+    draw = _InverseCdfDraw(np.cumsum(distribution_pmf(spec)))
+    uniforms, verdict = _chunk_buffers(min(n_samples, _SAMPLE_CHUNK))
+    chunk = len(uniforms)
     n_violations = 0
-    band: list[np.ndarray] = []  # copies of the close matrices, at most chunk
+    band: list[np.ndarray] = []  # exact counts of the close matrices
     n_band = 0
     remaining = n_samples
     while remaining > 0:
         take = min(remaining, chunk)
-        draws = draw(rng.random(out=uniforms[:take]))
-        violated, close = verdict(draws)
+        keys = rng.random(out=uniforms[:take])
+        draw(keys.transpose(1, 2, 0), *verdict.buffers(take))
+        violated, close = verdict.decide(take)
         n_violations += int(np.count_nonzero(violated))
         n_close = int(np.count_nonzero(close))
         if n_close:
-            if n_band + n_close > chunk:
+            band.append(draw.exact(keys[close]))
+            n_band += n_close
+            if n_band >= _KERNEL_BATCH:
                 n_violations += _exact_violations(band)
                 band, n_band = [], 0
-            band.append(draws[close])
-            n_band += n_close
         remaining -= take
     if band:
         n_violations += _exact_violations(band)
@@ -317,7 +355,7 @@ def parameter_sweep(
 
     specs = [_spec_for(kind, parameter, bound) for parameter, bound in grid]
     seeds = [_point_seed(seed, index) for index in range(len(grid))]
-    with ThreadPoolExecutor(max_workers=max_workers(len(grid))) as pool:
+    with ThreadPoolExecutor(max_workers(len(grid)), initializer=_start_worker) as pool:
         estimates = tuple(
             pool.map(estimate_violation_probability, specs, [n_samples] * len(grid), seeds)
         )

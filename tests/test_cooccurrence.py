@@ -341,6 +341,7 @@ class TestCountBlocks:
         docs = data.draw(st.lists(st.lists(st.sampled_from(terms), max_size=20), max_size=5))
         width = data.draw(st.integers(1, 5))
         block = data.draw(st.sampled_from([1, 2, 7]))
+        positions = data.draw(st.sampled_from([1, 2, 5, 8, 1 << 17]))
         check_slice = data.draw(st.sampled_from([1, 2, 3, 1 << 16]))
         numbering = data.draw(st.sampled_from(["ascending", "reversed", "shuffled"]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -351,7 +352,8 @@ class TestCountBlocks:
         windows = _renumbered(TopicCorpus("t", sequences).windows(width), numbering, rng)
         pair = _pair(4)
         with mock.patch.multiple(
-            cooccurrence, _BLOCK_WINDOWS=block, _CHECK_SLICE=check_slice
+            cooccurrence, _BLOCK_WINDOWS=block, _BLOCK_POSITIONS=positions,
+            _CHECK_SLICE=check_slice,
         ):
             matrix = count_cooccurrences(pair, windows)
         assert matrix.counts.tolist() == _dense_counts(pair, windows)
@@ -391,6 +393,22 @@ class TestCountMemory:
             tracemalloc.stop()
         assert matrix.n_windows == n_tokens // 5
         assert peak < self.BOUND
+
+    def test_peak_at_a_wide_window_is_bounded_by_positions(self):
+        # 400 windows of 1,000 positions: a block of 2,048 windows would take
+        # every position (4.5 MB); at 2**17 positions per block the
+        # temporaries peak near 2.6 MB, as for a full block at W = 64
+        windows = self._topic(400_000).windows(1000)
+        pair = _pair()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matrix = count_cooccurrences(pair, windows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert matrix.counts.tolist() == _dense_counts(pair, windows)
+        assert peak < 3_000_000
 
 
 def _sequence(terms):

@@ -96,9 +96,12 @@ def test_inexact_inverse_cdf_draw_fails(monkeypatch):
     # a draw that never falls back to searchsorted misplaces keys in
     # buckets that straddle a cdf step
     class TableOnly(simulation._InverseCdfDraw):
-        def __init__(self, cdf, capacity):
-            super().__init__(cdf, capacity)
-            self._straddles[:] = False
+        def __init__(self, cdf):
+            super().__init__(cdf)
+            # each straddling bucket holds the value of its lower edge
+            straddles = np.flatnonzero(self._values == 0)
+            lower = np.searchsorted(cdf, straddles / self._k, side="right") + 1
+            self._values[straddles] = np.minimum(lower, len(cdf))
 
     monkeypatch.setattr(selftest, "_InverseCdfDraw", TableOnly)
     by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}

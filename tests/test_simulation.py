@@ -3,12 +3,15 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from entangletext import (
     DistributionSpec,
+    chsh,
     chsh_max_abs_batch,
     distribution_pmf,
     estimate_violation_probability,
@@ -102,8 +105,16 @@ class TestPmf:
 
 
 def _inverse_cdf_draw(cdf, uniforms):
-    """The guide-table draw, on keys of any shape."""
-    return _InverseCdfDraw(cdf, uniforms.size)(uniforms)
+    """The guide-table draw, on keys of any shape, as float32 values."""
+    out = np.empty(uniforms.shape, np.float32)
+    return _InverseCdfDraw(cdf)(uniforms, out, np.empty(uniforms.shape, np.intp))
+
+
+class _EveryMatrixClose(chsh._FloatVerdict):
+    """A verdict that leaves every matrix to the exact kernel."""
+
+    def decide(self, n):
+        return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
 
 
 def _draw(spec, rng, shape=(4, 4)):
@@ -179,7 +190,7 @@ class TestSampling:
         pmf = distribution_pmf(spec)
         rng = np.random.default_rng(12345)
         draws = _inverse_cdf_draw(np.cumsum(pmf), rng.random(100_000))
-        counts = np.bincount(draws, minlength=9)[1:]
+        counts = np.bincount(draws.astype(np.intp), minlength=9)[1:]
         n = draws.size
         for value in range(8):
             expect = n * pmf[value]
@@ -226,31 +237,63 @@ class TestEstimates:
         if spec.support_bound == 2000:
             assert draws.max() >= 1722  # 4 x 1722 reaches the int64 bound of 6888
 
-    def test_band_goes_to_the_kernel_in_batches_of_at_most_a_chunk(self, monkeypatch):
+    def test_band_goes_to_the_kernel_in_batches_of_at_most_kernel_batch(self, monkeypatch):
         import entangletext.simulation as sim
 
         spec = DistributionSpec.zipf(1.1, 100)
         n_samples = 2 * sim._SAMPLE_CHUNK + 777
         want = estimate_violation_probability(spec, n_samples, 3)
-
-        class EveryMatrixClose:
-            def __init__(self, capacity):
-                pass
-
-            def __call__(self, counts):
-                return np.zeros(len(counts), dtype=bool), np.ones(len(counts), dtype=bool)
-
         sizes = []
 
         def kernel(matrices):
             sizes.append(len(matrices))
             return chsh_max_abs_batch(matrices)
 
-        monkeypatch.setattr(sim, "_FloatVerdict", EveryMatrixClose)
+        monkeypatch.setattr(sim, "_FloatVerdict", _EveryMatrixClose)
         monkeypatch.setattr(sim, "chsh_max_abs_batch", kernel)
         assert estimate_violation_probability(spec, n_samples, 3) == want
         assert sum(sizes) == n_samples
-        assert max(sizes) <= sim._SAMPLE_CHUNK
+        assert max(sizes) <= chsh._KERNEL_BATCH
+
+    @pytest.mark.parametrize(
+        "spec", [DistributionSpec.zipf(1.1, 100), DistributionSpec.poisson(50.0, 500)],
+        ids=["zipf", "poisson"],
+    )
+    def test_the_kernel_gets_the_exact_counts(self, spec, monkeypatch):
+        # every matrix goes to the kernel, drawn by searchsorted on its own
+        # uniforms, never from the verdict's float32 counts
+        import entangletext.simulation as sim
+
+        n_samples = 2 * sim._SAMPLE_CHUNK + 777
+        handed = []
+
+        def kernel(matrices):
+            handed.append(np.array(matrices))
+            return chsh_max_abs_batch(matrices)
+
+        monkeypatch.setattr(sim, "_FloatVerdict", _EveryMatrixClose)
+        monkeypatch.setattr(sim, "chsh_max_abs_batch", kernel)
+        estimate_violation_probability(spec, n_samples, 11)
+        cdf = np.cumsum(distribution_pmf(spec))
+        uniforms = np.random.default_rng(11).random((n_samples, 4, 4))
+        want = np.minimum(np.searchsorted(cdf, uniforms, side="right") + 1, spec.support_bound)
+        got = np.concatenate(handed)
+        assert np.issubdtype(got.dtype, np.integer)
+        assert np.array_equal(got, want)
+
+    def test_one_estimate_stays_within_its_buffers(self):
+        # 4,096-matrix chunks: 128 bytes of uniforms and 544 of verdict
+        # buffers per matrix, 2.75 MB, plus temporaries; a first call loads
+        # the modules numpy imports lazily
+        spec = DistributionSpec.zipf(1.0, 500)
+        estimate_violation_probability(spec, 1, 5)
+        tracemalloc.start()
+        try:
+            estimate_violation_probability(spec, 10_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6
 
     def test_std_err_formula(self):
         spec = DistributionSpec.zipf(0.7, 50)
@@ -293,6 +336,27 @@ class TestParameterSweep:
         a = parameter_sweep("zipf", [0.3, 0.7], [20], n_samples=400, seed=11)
         b = parameter_sweep("zipf", [0.3, 0.7], [20], n_samples=400, seed=11)
         assert a == b
+
+    def test_each_worker_reuses_one_set_of_buffers(self, monkeypatch):
+        # the points a pool thread samples share its buffers, which go with
+        # the pool; an estimate off the pool keeps none
+        import entangletext.simulation as sim
+
+        made = []
+
+        class Tracked(chsh._FloatVerdict):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setenv("ENTANGLE_THREADS", "2")
+        monkeypatch.setattr(sim, "_FloatVerdict", Tracked)
+        curves = parameter_sweep("zipf", [0.5, 1.0, 1.5, 2.0], [10, 50], n_samples=500, seed=3)
+        assert 1 <= len(made) <= 2
+        fresh = [estimate_violation_probability(e.spec, 500, e.seed) for e in curves.estimates]
+        assert list(curves.estimates) == fresh
+        assert len(made) <= 2 + len(fresh)
+        assert all(ref() is None for ref in made)
 
     def test_point_seeds_differ(self):
         cur = parameter_sweep("zipf", [0.5, 0.5], [20], n_samples=100, seed=11)
