@@ -4,8 +4,8 @@ Raw text goes through four moves: alphabetic tokens are extracted
 (digits and punctuation act as separators), lowercased, filtered against
 the stop-word list, and Porter-stemmed. Each term is kept as an int32 id
 into a vocabulary. The resulting sequence is then tiled into fixed-size
-windows, held as two index arrays: the term ids and, for each position,
-the window it falls in. The trailing partial window is kept.
+windows: position i lies in window i // W, so window j is the slice of
+the ids from j * W to (j + 1) * W. The trailing partial window is kept.
 
 === EXAMPLE OUTPUT ===
 raw: The storms flooded 3 coastal towns; rescue crews recorded gusting winds!
@@ -14,8 +14,6 @@ window 0: ['storm', 'flood', 'coastal', 'town']
 window 1: ['rescu', 'crew', 'record', 'gust']
 window 2: ['wind']
 """
-
-import numpy as np
 
 from entangletext import PipelineConfig, RawDocument, TopicCorpus, tokenize_and_normalize
 
@@ -33,8 +31,8 @@ def main():
 
     windows = TopicCorpus(topic_id=raw.topic_id, documents=(sequence,)).windows(4)
     vocabulary = sequence.vocabulary.terms
-    # window_of is non-decreasing: split the ids where it steps
-    tiles = np.split(windows.ids, np.flatnonzero(np.diff(windows.window_of)) + 1)
+    width = windows.window_size
+    tiles = [sequence.ids[i : i + width] for i in range(0, len(sequence), width)]
     for index, tile in enumerate(tiles):
         print(f"window {index}: {[vocabulary[i] for i in tile.tolist()]}")
 

@@ -7,18 +7,21 @@ example, over disjoint sets of documents) therefore merge by plain
 integer addition.
 
 ``count_cooccurrences`` uses that to keep its memory fixed as the topic
-grows. It walks the positions in window order, in blocks that each hold
-the whole of at most ``_BLOCK_WINDOWS`` consecutive window numbers and
-at most ``_BLOCK_POSITIONS`` positions, but always one window at least.
-In a block it looks up the concept slot of every position, keeps only the
-hits (the positions whose term is in the concept pair), marks their
-(window, slot) presence in a 0/1 float32 matrix with one row per window
-of the block, and adds the product of the matrix's ``c1`` and ``c2``
-halves to the int64 counts. Each entry of a block's product sums at
-most ``_BLOCK_WINDOWS`` products of 0 and 1, so while that constant
-stays below 2**24 every partial sum is an integer float32 holds
-exactly. The temporaries are bounded by the block, not by the number
-of windows or their width.
+grows. It reads the topic's documents in order, in blocks that each hold
+whole windows: runs of whole documents, with a document longer than the
+room left cut at a window edge. A block holds at most ``_BLOCK_WINDOWS``
+windows and at most ``_BLOCK_POSITIONS`` positions, but always one
+window at least. In a block it looks up the concept slot of every
+position, keeps only the hits (the positions whose term is in the concept
+pair), marks their (window, slot) presence in a 0/1 float32 matrix with
+one row per window of the block (position i of a document lies in its
+window i // W, so the rows follow from the document lengths), and adds
+the product of the matrix's ``c1`` and ``c2`` halves to the int64 counts.
+Each entry of a block's product sums at most ``_BLOCK_WINDOWS`` products
+of 0 and 1, so while that constant stays below 2**24 every partial sum is
+an integer float32 holds exactly. A block's temporaries are bounded by the
+block, not by the number of windows or their width, and are released
+before the next block is read.
 """
 
 from __future__ import annotations
@@ -33,14 +36,11 @@ from .relevance import ConceptPair
 
 __all__ = ["CoocMatrix", "count_cooccurrences", "cooccurrence_histogram"]
 
-# window numbers per counting block; below 2**24 so float32 counts are exact
+# windows per counting block; below 2**24 so float32 counts are exact
 _BLOCK_WINDOWS = 2048
 # positions per counting block, unless one window holds more; 2,048 windows
 # of width 64 fill it, so only wider windows make smaller blocks
 _BLOCK_POSITIONS = 1 << 17
-# positions per slice when checking that window numbers never decrease
-_CHECK_SLICE = 1 << 16
-_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -73,48 +73,19 @@ def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
     One lookup array, of the smallest signed integer type that holds -1
     and 2k, sends each term id to its concept slot (c1 terms first, then
     c2 terms, -1 elsewhere); marking (window, slot) presence ignores
-    multiplicity. Blocks take consecutive window numbers, so window
-    numbers that ever decrease along the positions are sorted first.
-    Zero windows yield the zero matrix, and concept terms absent from
-    the vocabulary count zero.
+    multiplicity. Zero windows yield the zero matrix, and concept terms
+    absent from the vocabulary count zero.
     """
     n1, n_slots = len(pair.c1), len(pair.c1) + len(pair.c2)
-    index = windows.vocabulary.index
-    slot_of = np.full(len(windows.vocabulary), -1, dtype=np.min_scalar_type(-1 - n_slots))
+    vocabulary = windows.topic.vocabulary
+    slot_of = np.full(len(vocabulary), -1, dtype=np.min_scalar_type(-1 - n_slots))
     for slot, term in enumerate(pair.c1 + pair.c2):
-        term_id = index.get(term)
+        term_id = vocabulary.index.get(term)
         if term_id is not None:
             slot_of[term_id] = slot
-    ids, window_of = windows.ids, windows.window_of
-    if not _ascending(window_of):
-        order = np.argsort(window_of, kind="stable")
-        ids, window_of = ids[order], window_of[order]
-
     counts = np.zeros((n1, n_slots - n1), dtype=np.int64)
-    last = _BLOCK_WINDOWS - 1
-    start = 0
-    while start < len(window_of):
-        first = int(window_of[start])
-        # every position of windows first .. first + last, capped so the
-        # edge stays an intp
-        stop = int(np.searchsorted(window_of, min(first + last, _INTP_MAX), side="right"))
-        if stop - start > _BLOCK_POSITIONS:
-            # the windows before the one holding position start + _BLOCK_POSITIONS,
-            # or else window first alone
-            edge = int(window_of[start + _BLOCK_POSITIONS])
-            stop = int(np.searchsorted(window_of, edge, side="left" if edge > first else "right"))
-        slots = slot_of.take(ids[start:stop])
-        hits = np.flatnonzero(slots >= 0)
-        if hits.size:
-            # flat (window row, slot) index of each hit in the block's matrix
-            cells = window_of[start:stop].take(hits)
-            cells -= first
-            cells *= n_slots
-            cells += slots.take(hits)
-            present = np.zeros((int(cells[-1]) // n_slots + 1, n_slots), dtype=np.float32)
-            present.ravel()[cells] = 1.0
-            counts += (present[:, :n1].T @ present[:, n1:]).astype(np.int64)
-        start = stop
+    for block in _blocks(windows.topic.documents, windows.window_size):
+        counts += _block_counts(block, windows.window_size, slot_of, n1, n_slots)
     return CoocMatrix(
         concept_pair=pair,
         window_size=windows.window_size,
@@ -123,13 +94,56 @@ def count_cooccurrences(pair: ConceptPair, windows: TopicWindows) -> CoocMatrix:
     )
 
 
-def _ascending(values: np.ndarray) -> bool:
-    """True when values never decrease, checked one bounded slice at a time."""
-    for start in range(0, len(values) - 1, _CHECK_SLICE):
-        part = values[start : start + _CHECK_SLICE + 1]
-        if (part[1:] < part[:-1]).any():
-            return False
-    return True
+def _blocks(documents, width: int):
+    """Each counting block, as the id slices of its documents in order.
+
+    A slice ends at its document's end or at a window edge, so it holds
+    whole windows, all full but perhaps the last.
+    """
+    block, n_windows, n_positions = [], 0, 0
+    for document in documents:
+        ids = document.ids
+        while len(ids):
+            # the rest of the document, or the whole windows the block has room for
+            cut = min(len(ids), (_BLOCK_WINDOWS - n_windows) * width)
+            if n_positions + cut > _BLOCK_POSITIONS:
+                cut = (_BLOCK_POSITIONS - n_positions) // width * width
+            if cut < 1:
+                if block:
+                    yield block
+                    block, n_windows, n_positions = [], 0, 0
+                    continue
+                cut = min(len(ids), width)  # one window at least
+            block.append(ids[:cut])
+            ids = ids[cut:]
+            n_windows += -(-cut // width)
+            n_positions += cut
+    if block:
+        yield block
+
+
+def _block_counts(block, width: int, slot_of: np.ndarray, n1: int, n_slots: int):
+    """One block's counts (0 when it holds no hit); its temporaries end
+    with the call."""
+    slots = np.concatenate([slot_of.take(ids) for ids in block])
+    hits = np.flatnonzero(slots >= 0)
+    if not hits.size:
+        return 0
+    # positions per window of the block: the width, but the remainder for
+    # the last window of a slice
+    lengths = np.array([len(ids) for ids in block])
+    per_slice = -(-lengths // width)
+    last = np.cumsum(per_slice) - 1
+    span = np.full(last[-1] + 1, width, dtype=np.intp)
+    span[last] = lengths - (per_slice - 1) * width
+    # flat (window row, slot) index of each hit in the block's matrix
+    rows = np.arange(len(span), dtype=np.min_scalar_type(-len(span) * n_slots))
+    cells = np.repeat(rows, span).take(hits)
+    cells *= n_slots
+    cells += slots.take(hits)
+    present = np.zeros((len(span), n_slots), dtype=np.float32)
+    present.ravel()[cells] = 1.0
+    return (present[:, :n1].T @ present[:, n1:]).astype(np.int64)
 
 
 def cooccurrence_histogram(matrix: CoocMatrix) -> dict[int, int]:

@@ -3,9 +3,10 @@
 Raw documents are reduced to ordered term sequences by one fixed
 normalization (maximal runs of ASCII letters, lowercased, stop-word
 filtered, Porter-stemmed unless stemming is off), kept as int32 ids into
-one vocabulary per load, and then tiled into fixed-size windows.
-Windows never cross document boundaries; the trailing partial window is
-kept so no terms are dropped.
+one vocabulary per load. A topic's windows of width W are a value, not an
+index: position i of a document lies in its window i // W, windows never
+cross document boundaries, and the trailing partial window is kept so no
+terms are dropped. The co-occurrence count reads the documents' own ids.
 
 Tokenizing works on bytes: the text is encoded to UTF-8, one 256-entry
 ``bytes.translate`` table lowercases ASCII letters and turns every other
@@ -61,10 +62,6 @@ def _window_size(value) -> int:
     if not 1 <= size <= largest:
         raise ValueError(f"window size must be from 1 to {largest}, got {size}")
     return size
-
-
-# positions per temporary range that TopicCorpus.windows adds in place
-_POSITION_SLICE = 1 << 12
 
 
 class CorpusError(Exception):
@@ -185,40 +182,6 @@ class TermSequence:
 
 
 @dataclass(frozen=True)
-class TopicWindows:
-    """Fixed-width windows over one topic, as two parallel index arrays.
-
-    ``ids`` concatenates the term ids of the topic's documents in order and
-    ``window_of[p]`` is the window that position p falls in. Windows are
-    numbered consecutively across the topic, never cross a document
-    boundary, and a document's trailing partial window is kept.
-    """
-
-    window_size: int
-    ids: np.ndarray  # int32 term ids
-    window_of: np.ndarray  # intp window index of each position
-    n_windows: int
-    vocabulary: Vocabulary
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int32)
-        window_of = np.asarray(self.window_of, dtype=np.intp)
-        if ids.shape != window_of.shape or ids.ndim != 1:
-            raise ValueError("ids and window_of must be 1-d arrays of one length")
-        if ids.size and (window_of.min() < 0 or window_of.max() >= self.n_windows):
-            raise ValueError(f"window indices must lie in [0, {self.n_windows})")
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self.vocabulary)):
-            raise ValueError("term ids must lie inside the vocabulary")
-        ids.setflags(write=False)
-        window_of.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "window_of", window_of)
-
-    def __len__(self) -> int:
-        return self.n_windows
-
-
-@dataclass(frozen=True)
 class TopicCorpus:
     """All normalized documents of one topic, over one shared vocabulary."""
 
@@ -237,41 +200,34 @@ class TopicCorpus:
     def vocabulary(self) -> Vocabulary:
         return self.documents[0].vocabulary
 
-    @property
-    def ids(self) -> np.ndarray:
-        """Term ids of every document, concatenated in document order."""
-        return np.concatenate([d.ids for d in self.documents])
-
     def windows(self, window_size: int) -> TopicWindows:
-        """Windows of width window_size over every document, in document order.
+        """Windows of width window_size over every document, in document order."""
+        return TopicWindows(self, window_size)
 
-        A document of n terms gives ceil(n / window_size) windows; position
-        i of a document lies in its window i // window_size.
-        """
-        window_size = _window_size(window_size)
-        lengths = np.array([len(d) for d in self.documents], dtype=np.intp)
-        # Offsets in a document stay below its length, so capping the width
-        # at the longest document changes no quotient, and first_window[d] *
-        # width stays below the positions plus documents x longest document.
-        width = min(window_size, int(lengths.max()) or 1)
-        per_doc = -(-lengths // width)
-        # Position p of document d lies in window (p + shift[d]) // width,
-        # shift[d] = first_window[d] * width - doc_start[d], as
-        # first_window[d] * width is a multiple of width. One intp array is
-        # built from the shifts and rewritten in place.
-        shift = (np.cumsum(per_doc) - per_doc) * width - (np.cumsum(lengths) - lengths)
-        window_of = np.repeat(shift, lengths)
-        for start in range(0, len(window_of), _POSITION_SLICE):
-            part = window_of[start : start + _POSITION_SLICE]
-            part += np.arange(start, start + len(part))
-        window_of //= width
-        return TopicWindows(
-            window_size=window_size,
-            ids=self.ids,
-            window_of=window_of,
-            n_windows=int(per_doc.sum()),
-            vocabulary=self.vocabulary,
-        )
+
+@dataclass(frozen=True)
+class TopicWindows:
+    """Fixed-width windows over one topic: the topic, the width, the count.
+
+    Position i of a document lies in its window i // window_size. Windows
+    never cross a document boundary and a document's trailing partial
+    window is kept, so a document of n terms holds ceil(n / window_size)
+    windows; ``n_windows`` is their sum over the topic. No per-position
+    array is held: ``count_cooccurrences`` reads the documents' own ids.
+    """
+
+    topic: TopicCorpus
+    window_size: int
+    n_windows: int = field(init=False)
+
+    def __post_init__(self):
+        window_size = _window_size(self.window_size)
+        object.__setattr__(self, "window_size", window_size)
+        n_windows = sum(-(-len(d) // window_size) for d in self.topic.documents)
+        object.__setattr__(self, "n_windows", n_windows)
+
+    def __len__(self) -> int:
+        return self.n_windows
 
 
 _STOP = -1  # term id of a token the stoplist removes

@@ -3,12 +3,10 @@
 A run walks every (topic, window size, relevance method) cell: builds the
 concept pair, counts the co-occurrence matrix, scans all 4-term subset
 pairs for CHSH violations, and emits plot-ready CSV/JSON artifacts. The
-cells run in order on the calling thread. For each (topic, window size)
-the run builds that window index, runs the cells of every method on it,
-and drops it, so it holds one window index at a time besides the loaded
-corpus, and builds each index once. All files are written in a
-deterministic order and carry no timestamps, so identical configurations
-produce bitwise-identical output.
+cells run in order on the calling thread, and no stage copies a topic:
+the counts read the loaded documents' own ids. All files are written in
+a deterministic order and carry no timestamps, so identical
+configurations produce bitwise-identical output.
 
 This module is the only one that writes files, and ``_write_csv`` and
 ``_write_json`` hold the byte format of every artifact: UTF-8, "\n" line
@@ -149,7 +147,6 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
                 build_concept_pair(ranked, config.concept_size),
             )
 
-    # one window index at a time: each is built once and dropped before the next
     reports = []
     for topic in topics:
         report = TopicReport(topic_id=topic.topic_id)
@@ -164,7 +161,6 @@ def run_analyze(config: RunConfig) -> list[TopicReport]:
                     cooccurrence_histogram(matrix),
                     matrix,
                 )
-            del windows
 
     ordered = _sorted_reports(reports, config.methods[0], config)
     _write_outputs(ordered, pairs, config)

@@ -152,14 +152,6 @@ def tile_reference(terms, width):
     return [list(terms[i : i + width]) for i in range(0, len(terms), width)]
 
 
-def tiles_from_indices(term_ids, window_of, n_windows, vocabulary_terms):
-    """Term lists per window from parallel (term id, window index) sequences."""
-    tiles = [[] for _ in range(n_windows)]
-    for term_id, window in zip(term_ids, window_of):
-        tiles[window].append(vocabulary_terms[term_id])
-    return tiles
-
-
 # ----------------------------------------------------------------------
 # Ranking oracles
 # ----------------------------------------------------------------------

@@ -14,21 +14,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entangletext import (
+    ConceptPair,
     CorpusError,
     PipelineConfig,
     RawDocument,
     TermSequence,
     TopicCorpus,
-    TopicWindows,
     Vocabulary,
     bundled_corpus_path,
+    count_cooccurrences,
     default_stoplist,
     load_topic_corpus,
     tokenize_and_normalize,
 )
 from entangletext import corpus
 
-from oracles import normalize_reference, tile_reference, tiles_from_indices
+from oracles import cooccurrence_reference, normalize_reference, tile_reference
 
 
 def _doc(text):
@@ -41,10 +42,41 @@ def _one_document_topic(n_terms):
     return TopicCorpus(topic_id="t", documents=(doc,))
 
 
-def _tiles(windows):
-    return tiles_from_indices(
-        windows.ids.tolist(), windows.window_of.tolist(), len(windows), windows.vocabulary.terms
+def _distinct_topic(lengths):
+    """A topic of documents with the given lengths, no term used twice."""
+    vocabulary = Vocabulary()
+    docs = tuple(
+        TermSequence(f"d{i}", vocabulary.encode(f"{i}-{j}" for j in range(n)), vocabulary)
+        for i, n in enumerate(lengths)
     )
+    return TopicCorpus(topic_id="t", documents=docs)
+
+
+def _same_window(topic, width):
+    """Which terms the count finds together, over a topic of distinct terms.
+
+    c1 holds the terms at even positions of the concatenated topic and c2
+    those at odd ones, so count (a, b) is 1 exactly when the terms at
+    positions 2a and 2b + 1 share a window.
+    """
+    terms = [t for d in topic.documents for t in d.terms]
+    k = len(terms) // 2
+    pair = ConceptPair(terms[0 : 2 * k : 2], terms[1 : 2 * k : 2], "frequency", topic.topic_id)
+    return count_cooccurrences(pair, topic.windows(width)).counts.tolist()
+
+
+def _by_position(n_terms, width):
+    """_same_window of one document when position i lies in window i // width."""
+    k = n_terms // 2
+    return [[int(2 * a // width == (2 * b + 1) // width) for b in range(k)] for a in range(k)]
+
+
+def _by_reference(topic, width):
+    """_same_window under the oracle's per-document tiles."""
+    terms = [t for d in topic.documents for t in d.terms]
+    k = len(terms) // 2
+    docs = [d.terms for d in topic.documents]
+    return cooccurrence_reference(docs, width, terms[0 : 2 * k : 2], terms[1 : 2 * k : 2])[0]
 
 
 class TestTokenizeAndNormalize:
@@ -118,21 +150,21 @@ class TestTokenizeAndNormalize:
 
 class TestSegmentWindows:
     def test_tiling_45_terms(self):
-        windows = _one_document_topic(45).windows(20)
+        topic = _distinct_topic([45])
+        windows = topic.windows(20)
         assert len(windows) == windows.n_windows == 3
         assert windows.window_size == 20
         # window i holds positions 20i .. 20i + 19
-        assert np.bincount(windows.window_of).tolist() == [20, 20, 5]
-        assert windows.window_of.tolist() == [i // 20 for i in range(45)]
+        assert _same_window(topic, 20) == _by_position(45, 20)
 
     def test_exact_fit(self):
-        windows = _one_document_topic(20).windows(20)
-        assert np.bincount(windows.window_of).tolist() == [20]
+        topic = _distinct_topic([20])
+        assert len(topic.windows(20)) == 1
+        assert _same_window(topic, 20) == [[1] * 10] * 10
 
     def test_empty_document(self):
         windows = _one_document_topic(0).windows(7)
-        assert len(windows) == 0
-        assert windows.ids.size == windows.window_of.size == 0
+        assert len(windows) == windows.n_windows == 0
 
     def test_window_size_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -144,67 +176,40 @@ class TestSegmentWindows:
             _one_document_topic(10).windows(size)
 
     def test_numpy_integer_window_size(self):
-        windows = _one_document_topic(45).windows(np.int32(20))
+        topic = _distinct_topic([45])
+        windows = topic.windows(np.int32(20))
         assert windows.window_size == 20 and type(windows.window_size) is int
-        assert windows.window_of.tolist() == [i // 20 for i in range(45)]
+        assert _same_window(topic, np.int32(20)) == _by_position(45, 20)
 
     @settings(max_examples=100, deadline=None)
     @given(
         n_terms=st.integers(min_value=0, max_value=300),
         width=st.integers(min_value=1, max_value=40),
     )
-    def test_tiling_reconstructs_sequence(self, n_terms, width):
-        topic = _one_document_topic(n_terms)
-        tiles = _tiles(topic.windows(width))
-        flat = [t for tile in tiles for t in tile]
-        assert flat == list(topic.documents[0].terms)
-        assert all(len(tile) == width for tile in tiles[:-1])
-        if tiles:
-            assert 1 <= len(tiles[-1]) <= width
-        assert tiles == tile_reference(topic.documents[0].terms, width)
+    def test_tiling_follows_the_position_formula(self, n_terms, width):
+        topic = _distinct_topic([n_terms])
+        assert len(topic.windows(width)) == len(tile_reference(topic.documents[0].terms, width))
+        assert _same_window(topic, width) == _by_position(n_terms, width)
 
     def test_windows_never_cross_documents(self):
-        vocabulary = Vocabulary()
-        docs = tuple(
-            TermSequence(f"d{i}", vocabulary.encode(f"{i}-{j}" for j in range(n)), vocabulary)
-            for i, n in enumerate([7, 0, 3, 10])
-        )
-        tiles = _tiles(TopicCorpus(topic_id="t", documents=docs).windows(4))
-        assert tiles == [t for d in docs for t in tile_reference(d.terms, 4)]
-        assert [len(t) for t in tiles] == [4, 3, 3, 4, 4, 2]
+        topic = _distinct_topic([7, 0, 3, 10])
+        assert len(topic.windows(4)) == 6
+        assert _same_window(topic, 4) == _by_reference(topic, 4)
+        # the last term of d0 and the first of d2 would share a topic-wide tile
+        assert _same_window(topic, 4)[3][3] == 0
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        lengths=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=12),
-        width=st.one_of(st.integers(min_value=1, max_value=70), st.just(2**62)),
+        lengths=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8),
+        width=st.one_of(st.integers(min_value=1, max_value=50), st.just(2**62)),
     )
-    def test_window_index_matches_per_document_formula(self, lengths, width):
-        """window_of is bit-identical to first window of the document plus
-        offset // W, over any document lengths, empty documents included,
-        and a width far beyond every document."""
-        vocabulary = Vocabulary()
-        vocabulary.add("w")
-        docs = tuple(TermSequence(f"d{i}", [0] * n, vocabulary) for i, n in enumerate(lengths))
-        windows = TopicCorpus(topic_id="t", documents=docs).windows(width)
-
-        lengths = np.array(lengths, dtype=np.intp)
-        per_doc = -(-lengths // width)
-        doc_start = np.cumsum(lengths) - lengths
-        first_window = np.cumsum(per_doc) - per_doc
-        offset = np.arange(lengths.sum(), dtype=np.intp) - np.repeat(doc_start, lengths)
-        expected = np.repeat(first_window, lengths) + offset // width
-        assert windows.window_of.dtype == expected.dtype
-        assert np.array_equal(windows.window_of, expected)
-        assert windows.n_windows == int(per_doc.sum())
-
-    def test_window_index_across_position_slices(self, monkeypatch):
-        """The in-place ranges added a slice at a time cover every position."""
-        monkeypatch.setattr(corpus, "_POSITION_SLICE", 3)
-        vocabulary = Vocabulary()
-        vocabulary.add("w")
-        docs = tuple(TermSequence(f"d{i}", [0] * n, vocabulary) for i, n in enumerate([5, 0, 7, 1]))
-        windows = TopicCorpus(topic_id="t", documents=docs).windows(2)
-        assert windows.window_of.tolist() == [0, 0, 1, 1, 2, 3, 3, 4, 4, 5, 5, 6, 7]
+    def test_tiling_matches_per_document_tiles(self, lengths, width):
+        """Over any document lengths, empty documents included, and a width
+        far beyond every document, the window count is the sum of
+        ceil(n / W) and the count sees the oracle's per-document tiles."""
+        topic = _distinct_topic(lengths)
+        assert topic.windows(width).n_windows == sum(-(-n // width) for n in lengths)
+        assert _same_window(topic, width) == _by_reference(topic, width)
 
 
 class TestTermIds:
@@ -215,18 +220,6 @@ class TestTermIds:
             TermSequence("d", [0, 2], vocabulary)
         with pytest.raises(ValueError, match="outside"):
             TermSequence("d", [-1], vocabulary)
-
-    def test_malformed_windows_rejected(self):
-        vocabulary = Vocabulary()
-        vocabulary.encode(["a", "b"])
-        for ids, window_of, n_windows in [
-            ([0, 1], [0], 1),  # lengths differ
-            ([0, 1], [0, 1], 1),  # window index past n_windows
-            ([0, 1], [-1, 0], 1),  # negative window index
-            ([0, 2], [0, 0], 1),  # term id past the vocabulary
-        ]:
-            with pytest.raises(ValueError):
-                TopicWindows(2, np.array(ids), np.array(window_of), n_windows, vocabulary)
 
     def test_topic_documents_share_one_vocabulary(self):
         one, two = Vocabulary(), Vocabulary()
@@ -428,13 +421,11 @@ class TestBundledCorpus:
 
     def test_planted_window_content(self, bundled_by_id, planted_facts):
         for topic_id, facts in planted_facts.items():
-            topic = bundled_by_id[topic_id]
-            doc_ids = [d.doc_id for d in topic.documents]
-            # windows are numbered across the topic: skip the earlier documents'
-            before = topic.documents[: doc_ids.index(facts["planted_doc_id"])]
-            first = sum(-(-len(d) // 5) for d in before)
-            tiles = _tiles(topic.windows(5))
-            assert tiles[first + facts["planted_window_index"]] == facts["planted_terms"]
+            doc = next(
+                d for d in bundled_by_id[topic_id].documents if d.doc_id == facts["planted_doc_id"]
+            )
+            tiles = tile_reference(doc.terms, 5)
+            assert tiles[facts["planted_window_index"]] == facts["planted_terms"]
 
     def test_generator_script_reproduces_the_bundled_corpus(self, tmp_path):
         # run scripts/make_synthetic_corpus.py on a copy of the tree, with no

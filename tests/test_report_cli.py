@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from entangletext import (
     RunConfig,
-    TopicCorpus,
     bundled_corpus_path,
     report,
     run_analyze,
@@ -143,8 +141,8 @@ class TestRunAnalyze:
         assert not (tmp_path / "summary_frequency.csv").exists()
         assert all((5, "tfidf") in r.cells for r in reports)
 
-    def test_cells_run_on_the_calling_thread_one_index_at_a_time(self, tmp_path, monkeypatch):
-        calls, built = [], []
+    def test_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        calls = []
 
         def on_caller(name, function):
             def wrapper(*args, **kwargs):
@@ -153,16 +151,8 @@ class TestRunAnalyze:
 
             monkeypatch.setattr(report, name, wrapper)
 
-        def windows(topic, window_size):
-            assert all(ref() is None for ref in built)  # the previous index was dropped
-            index = build(topic, window_size)
-            built.append(weakref.ref(index))
-            return index
-
         on_caller("count_cooccurrences", report.count_cooccurrences)
         on_caller("entanglement_proportion", report.entanglement_proportion)
-        build = TopicCorpus.windows
-        monkeypatch.setattr(TopicCorpus, "windows", windows)
         run_analyze(RunConfig(manifest=bundled_corpus_path(), out_dir=tmp_path))
         caller = threading.get_ident()
         assert calls == [("count_cooccurrences", caller), ("entanglement_proportion", caller)] * 18
