@@ -11,6 +11,8 @@ tracemalloc and once untraced. Each line holds:
 - scale, documents, and the kept tokens of the loaded corpus
 - held_corpus_mb: those tokens as the int32 term ids the corpus holds
 - traced_peak_mb: the tracemalloc peak of the traced run
+- load_peak_mb: the tracemalloc peak of loading the corpus alone, in the
+  traced run's interpreter after the run; the largest document sets it
 - max_rss_mb: the peak resident memory of the untraced run
 
 The package measured is the one the interpreter imports, so run it from
@@ -70,13 +72,17 @@ def measure(manifest: Path, traced: bool) -> dict:
             report.run_analyze(config)
     if not traced:
         return {"max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6}
+    tracemalloc.start()
     topics = report.load_topic_corpus(manifest, report._pipeline_config(config))
+    load_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     tokens = sum(len(doc) for topic in topics for doc in topic.documents)
     return {
         "documents": sum(len(topic.documents) for topic in topics),
         "kept_tokens": tokens,
         "held_corpus_mb": tokens * 4 / 1e6,
         "traced_peak_mb": peak / 1e6,
+        "load_peak_mb": load_peak / 1e6,
     }
 
 

@@ -22,12 +22,19 @@ Every reported maximum of |S| comes from one kernel, ``_split_kernel``.
 Four indices split into two unordered pairs in 3 ways per side, so the
 144 partition pairs fall into 9 split pairs of 16. The 16 partition pairs of
 a split pair share its four block expectations x = n/d and differ only in
-the signs they give them, so their best |S| is sum|x| - 2 min|x| when an
-even number of the x are negative, and sum|x| otherwise (a zero x makes
-the two equal). The kernel evaluates this on integers over the common
-denominator D = d1 d2 d3 d4, so the verdict |S| > 2 is exact with no
-float band, and the reported maximum is the exact value correctly
-rounded. A split pair with an empty block skips its 16 partition pairs.
+the signs they give them: an odd number of minus signs (the sign of
+E(A'B') is minus the product of the other three), and every such pattern
+occurs. So, with row halves a, b and column halves c, d, their best |S|
+is the largest of the eight sums +-x_ac +-x_ad +-x_bc +-x_bd with an odd
+number of minus signs. Each of these negates one x of one column half and
+none or both of the other's, so with no case on the signs
+
+    best |S| = max(|x_ac - x_bc| + |x_ad + x_bd|, |x_ac + x_bc| + |x_ad - x_bd|).
+
+The kernel evaluates this on integers over the common denominator D = d1
+d2 d3 d4, so the verdict |S| > 2 is exact with no float band, and the
+reported maximum is the exact value correctly rounded. A split pair with
+an empty block skips its 16 partition pairs.
 
 The integers are int64 while 4 x (largest count) < 6888: every d is then
 below 6888, so D < 6888**4 and every numerator (at most 4 D) is below
@@ -36,7 +43,7 @@ expressions on Python ints. The argmax is the first split pair, row
 split major, whose exact maximum is largest, then the first of its
 partition pairs in enumerate_partitions() order that attains it.
 
-Clear verdicts are decided in float32 by the same split-pair rule:
+Clear verdicts are decided in float32 by the same closed form:
 ``_FloatVerdict`` for the simulator's matrices, and
 ``entanglement_proportion`` for the subset pairs that survive its prune.
 ``_band_verdict`` calls a float maximum of |S| violated above 2 + band and
@@ -55,21 +62,17 @@ int64 counts; with u = 2**-24 the float32 unit roundoff:
   float x = numer / denom is within about 7u of the exact x: 6u from
   the inputs of the division and u from its rounding. (While d is at
   most 2**24 the sums are exact and only the division rounds.)
-- So is |x|, and so is min|x|, which does not round. The float sum|x|
-  of four adds 4 x 7u from the x and at most 2u, 2u and 4u from its
-  three roundings, so it is within 36u (2.1e-6), in either order of
-  its pairwise additions. Where the float signs give the parity of the
-  negative x wrongly, some x lies within 7u of 0, so the exact and float
-  min|x| do too, and both rules, sum|x| - 2 min|x| and sum|x|, then
-  agree within 14u. Either way the float best of a split pair is within
-  36u + 14u + 4u, the last for the rounding of the subtraction, so
-  within 54u plus terms of order u**2; call it 60u.
-- The maximum over split pairs does not round, so it too is within 60u
-  (3.6e-6) of the exact maximum, under a quarter of the 2**-16 (1.5e-5)
-  band. A float maximum above 2 + band therefore proves a violation and
-  one below 2 - band proves none; exact ties at |S| = 2 always land in
-  the band. The comparisons round nothing: the band is a power of two,
-  so 2 + band and 2 - band are exact, and so is top - 2 for any float
+- A sum or difference of two x is at most 2 in magnitude, so it, and
+  its absolute value, is within 7u + 7u + 2u = 16u, the last for its
+  rounding. A sum of two of those is at most 4, so it is within 16u +
+  16u + 4u = 36u (2.1e-6), plus terms of order u**2. The maximum of two
+  such sums, and the maximum over split pairs, round nothing, so the
+  float maximum of |S| is within 36u of the exact one, under a seventh
+  of the 2**-16 (1.5e-5, 256u) band.
+- A float maximum above 2 + band therefore proves a violation and one
+  below 2 - band proves none; exact ties at |S| = 2 always land in the
+  band. The comparisons round nothing: the band is a power of two, so
+  2 + band and 2 - band are exact, and so is top - 2 for any float
   maximum top in [1, 4] (Sterbenz).
 
 Every block layout numbers the pairs of n indices in combinations(range(n),
@@ -329,10 +332,8 @@ def _split_kernel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     d01, d23 = d0 * d1, d2 * d3
     common = d01 * d23
     scaled = numer * np.stack([d1 * d23, d0 * d23, d01 * d3, d01 * d2])
-    mags = np.abs(scaled)
-    best = mags[0] + mags[1] + mags[2] + mags[3]
-    low = np.minimum(np.minimum(mags[0], mags[1]), np.minimum(mags[2], mags[3]))
-    best = np.where((numer < 0).sum(axis=0) % 2 == 0, best - 2 * low, best)
+    s0, s1, s2, s3 = scaled  # blocks ac, ad, bc, bd of the module docstring
+    best = np.maximum(abs(s0 - s2) + abs(s1 + s3), abs(s0 + s2) + abs(s1 - s3))
     best[empty] = -1
 
     # correct rounding is monotone, so a unique float maximum is the exact one
@@ -417,32 +418,32 @@ class _FloatVerdict:
     float32. An instance must not be shared between threads.
 
     It keeps three float32 buffers, 136 floats per matrix, and every
-    intermediate lands in one of them: the counts buffer holds the counts,
-    then the sign flags; the sums buffer lends ``buffers`` an intp scratch
-    of 16 per matrix, then holds the row-pair sums and differences; the
-    block buffer holds numer and denom, then x and |x|, then, in x's half,
-    the split-pair halves and minima. So one instance serves every chunk
-    of a sampling run with no temporaries larger than its two results.
+    intermediate lands in one of them: the counts buffer holds the counts;
+    the sums buffer lends ``buffers`` an intp scratch of 16 per matrix,
+    then holds the row-pair sums and differences, then U and D below; the
+    block buffer holds numer and denom, then x and, in denom's half, the
+    best |S| of each split pair. So one instance serves every chunk of a
+    sampling run with no temporaries larger than its two results.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
-    denom. For split pair (s, t), sum|x| and min|x| over its four blocks
-    take two slices each (halves s and 5 - s are [:3] and [:2:-1], of the
-    rows, then of the columns), the parity of its negative x is an XOR of
-    sign bits, and its best |S| is sum|x| - 2 min|x| when that parity is
-    even and sum|x| otherwise, the rule ``_split_kernel`` applies on
+    denom. Halves s and 5 - s of split s are [:3] and [:2:-1], of the rows,
+    then of the columns. For row split s and column pair q, U = |x[s, q] +
+    x[5 - s, q]| and D = |x[s, q] - x[5 - s, q]|, and split pair (s, t) takes
+    its best |S| = max(D[s, t] + U[s, 5 - t], U[s, t] + D[s, 5 - t]), the
+    closed form of the module docstring that ``_split_kernel`` evaluates on
     integers. An empty block gives x = 0/0 = NaN, so its split pair is NaN,
     and the maximum over the nine split pairs is taken with fmax, which
     never picks NaN: a matrix whose split pairs are all skipped is neither
     violated nor close. The module docstring proves the float32 best |S|
-    within 60 x 2**-24 (3.6e-6) of the exact one at any count size, so the
-    verdict outside the band, over four times that, is exact.
+    within 36 x 2**-24 (2.1e-6) of the exact one at any count size, so the
+    verdict outside the band, over seven times that, is exact.
     """
 
     def __init__(self, capacity: int):
-        self._counts = np.empty(16 * capacity, np.float32)  # counts, then sign flags
-        self._sums = np.empty(48 * capacity, np.float32)  # scratch, then sums and differences
-        self._blocks = np.empty(72 * capacity, np.float32)  # numer, denom, then x, |x|
+        self._counts = np.empty(16 * capacity, np.float32)
+        self._sums = np.empty(48 * capacity, np.float32)  # scratch, sums and differences, U and D
+        self._blocks = np.empty(72 * capacity, np.float32)  # numer and denom, then x and best
 
     def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(counts, scratch): the (4, 4, n) float32 counts ``decide(n)``
@@ -456,30 +457,23 @@ class _FloatVerdict:
         return self.decide(n)
 
     def decide(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x, mag = self._blocks[: 72 * n].reshape(2, 6, 6, n)
+        x, denom = self._blocks[: 72 * n].reshape(2, 6, 6, n)
         _block_terms(self._counts[: 16 * n].reshape(4, 4, n),
-                     *self._sums[: 48 * n].reshape(2, 6, 4, n), x, mag)
+                     *self._sums[: 48 * n].reshape(2, 6, 4, n), x, denom)
         with np.errstate(invalid="ignore"):
-            np.divide(x, mag, out=x)
-        flags = self._counts.view(np.bool_)  # 64 bytes per matrix; the counts are dead
-        negative = np.less(x, 0.0, out=flags[: 36 * n].reshape(6, 6, n))
-        np.abs(x, out=mag)
+            np.divide(x, denom, out=x)
 
-        # split pair (s, t) of rows and columns lands at [s, t]; x is dead
-        halves, low = self._blocks[: 36 * n].reshape(2, 3, 6, n)
-        odd = flags[36 * n : 54 * n].reshape(3, 6, n)
-        np.add(mag[:3], mag[:2:-1], out=halves)
-        np.minimum(mag[:3], mag[:2:-1], out=low)
-        np.not_equal(negative[:3], negative[:2:-1], out=odd)
-        best, lowest, even = halves[:, :3], low[:, :3], odd[:, :3]
-        np.add(best, halves[:, :2:-1], out=best)
-        np.minimum(lowest, low[:, :2:-1], out=lowest)
-        np.equal(even, odd[:, :2:-1], out=even)
-        # multiplying by the mask, not subtract(where=even), keeps the loop
-        # free of branches on random parities
-        lowest *= even
-        lowest *= 2.0
-        best -= lowest
+        # U and D replace the row-pair sums and differences; best, denom
+        terms = self._sums[: 36 * n].reshape(2, 3, 6, n)
+        np.add(x[:3], x[:2:-1], out=terms[0])
+        np.subtract(x[:3], x[:2:-1], out=terms[1])
+        np.abs(terms, out=terms)
+        up, down = terms
+        # split pair (s, t) of rows and columns lands at [s, t]
+        best, other = self._blocks[36 * n : 54 * n].reshape(2, 3, 3, n)
+        np.add(down[:, :3], up[:, :2:-1], out=best)
+        np.add(up[:, :3], down[:, :2:-1], out=other)
+        np.maximum(best, other, out=best)
         return _band_verdict(np.fmax.reduce(best, axis=(0, 1)), _FLOAT_BAND)
 
 
@@ -559,24 +553,23 @@ def _live_side(table: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> tuple[np.nd
     return h0[splits], h1[splits], splits[new] // 3, np.cumsum(new) - 1
 
 
-def _live_split_pairs(table, negative, h0, h1, c0, c1) -> tuple[np.ndarray, ...]:
+def _live_split_pairs(table, x, h0, h1, c0, c1) -> tuple[np.ndarray, ...]:
     """The live split pairs of some row splits and column splits, and their float best |S|.
 
-    table holds the scan's float32 |x| (-inf for an empty block), and
-    negative whether each x is below 0, one row per row pair and one column
-    per column pair; row split i has halves h0[i] and h1[i], and column
-    split j halves c0[j] and c1[j]. Three tables are laid out with one row
-    per column pair and one column per row split: the sums u = |x|[h0] +
-    |x|[h1], the minima m = min(|x|[h0], |x|[h1]) and the parities p =
-    (x[h0] < 0) ^ (x[h1] < 0). The bound sum|x| on split pair (j, i) is
-    u[c0[j], i] + u[c1[j], i], so each column split gathers two whole rows
-    of u, and the split pairs whose bound is above 2 - _FLOAT_BAND are
-    live. A live split pair takes its min|x| = min(m[c0], m[c1]) and the
-    parity of its negative x, p[c0] ^ p[c1], by two gathers each, and its
-    best |S| is sum|x| - 2 min|x| at even parity and sum|x| otherwise.
-    These are the floats its four x would give: min and XOR are exact and
-    do not depend on order, and sum|x| keeps the order (a + b) + (c + d).
-    Returns (j, i, best) of the live split pairs, j major.
+    table holds the scan's float32 |x| (-inf for an empty block), and x
+    the signed x (NaN for an empty block), one row per row pair and one
+    column per column pair; row split i has halves h0[i] and h1[i], and
+    column split j halves c0[j] and c1[j]. Three tables are laid out with
+    one row per column pair and one column per row split: the sums u =
+    |x|[h0] + |x|[h1], plus = |x[h0] + x[h1]| and minus = |x[h0] - x[h1]|.
+    The bound sum|x| on split pair (j, i) is u[c0[j], i] + u[c1[j], i], so
+    each column split gathers two whole rows of u, and the split pairs
+    whose bound is above 2 - _FLOAT_BAND are live; they hold no empty
+    block. A live split pair takes its best |S| = max(minus[c0] + plus[c1],
+    plus[c0] + minus[c1]), the module docstring's closed form, by four
+    gathers: the same operations on the same operands as ``_FloatVerdict``,
+    so the same float. Returns (j, i, best) of the live split pairs, j
+    major.
     """
     a, b = table[h0], table[h1]
     u = np.ascontiguousarray((a + b).T)
@@ -586,14 +579,15 @@ def _live_split_pairs(table, negative, h0, h1, c0, c1) -> tuple[np.ndarray, ...]
     j, i = np.divmod(live, len(h0))
     if not len(live):
         return j, i, bound[:0]
-    m = np.ascontiguousarray(np.minimum(a, b).T)
-    p = np.ascontiguousarray((negative[h0] ^ negative[h1]).T)
+    a, b = x[h0].T, x[h1].T
+    plus, minus = np.add(a, b, order="C"), np.subtract(a, b, order="C")
+    np.abs(plus, out=plus)
+    np.abs(minus, out=minus)
     e0, e1 = c0[j] * len(h0) + i, c1[j] * len(h0) + i
-    low = np.minimum(m.take(e0), m.take(e1))
-    # even parity of the negative x, by XOR of sign bits as in _FloatVerdict
-    low *= ~(p.take(e0) ^ p.take(e1))
-    best = bound.take(live)
-    best -= 2 * low
+    best, other = minus.take(e0), plus.take(e0)
+    best += plus.take(e1)
+    other += minus.take(e1)
+    np.maximum(best, other, out=best)
     return j, i, best
 
 
@@ -687,9 +681,10 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     With u = 2**-24, the bound cannot drop a violation:
 
     - Each float |x| is within about 7u of the exact one at any count
-      size, and a float sum of four, in either order of its pairwise
-      additions, is within 36u (2.1e-6) of the exact sum|x| (module
-      docstring), far inside the band.
+      size (module docstring), and a float sum of four, in either order
+      of its pairwise additions, adds at most 2u, 2u and 4u from its
+      three roundings, so it is within 36u (2.1e-6) of the exact sum|x|,
+      far inside the band.
     - An empty block has |x| = -inf, so its split pair sums to -inf and
       never survives; ``_split_kernel`` skips such split pairs too.
 
@@ -741,7 +736,7 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     row split), and each of its per-row-split tables, one entry per
     (column pair, row split), within _SCAN_CHUNK entries, and at least
     one. The split pairs whose bound is above 2 - band are live, and each
-    takes its float best |S| by the module docstring's rule
+    takes its float best |S| by the module docstring's closed form
     (``_live_split_pairs``). Every other split pair is below 2 - band, so
     a subset pair's float maximum over its live split pairs decides it as
     in the module docstring. The order leaves every count and tie as it
@@ -755,9 +750,9 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     |S| is at least the ``top_details``-th largest |S| known so far less
     the band. The known values are floats only, the float maxima of the
     violations found so far, so this floor is widened by the band: each of
-    the ``top_details`` floats behind it is within 60u (3.6e-6) of its
+    the ``top_details`` floats behind it is within 36u (2.1e-6) of its
     pair's exact |S|, so a violation whose float |S| is below the floor
-    is weaker than ``top_details`` others by more than the band less 120u
+    is weaker than ``top_details`` others by more than the band less 72u
     (the band is 256u) and cannot be reported. The floor only rises;
     queued candidates it has passed are dropped before the kernel sees
     them. Every reported S, argmax and tie rule is the kernel's. The pairs
@@ -778,20 +773,18 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols), np.float32)
     x, table = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2), np.float32)
     _block_terms(matrix.counts.astype(np.float32), *sums, x, table)
-    empty = table == 0
-    # numer becomes x and denom its |x|, -inf for an empty block
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # numer becomes x, NaN for an empty block, and denom its |x|, -inf there
+    with np.errstate(invalid="ignore"):
         np.divide(x, table, out=x)
-    negative = x < 0
     np.abs(x, out=table)
-    table[empty] = -np.inf
+    table[np.isnan(x)] = -np.inf
     col_h0, col_h1, col_subset, col_number = _live_side(
         np.ascontiguousarray(table.T), *col_halves)
     row_h0, row_h1, row_subset, row_number = _live_side(table, *row_halves)
     row_start = np.searchsorted(row_number, np.arange(len(row_subset) + 1))
     n_lcs = max(1, len(col_subset))
     # row splits per chunk: each takes one bound entry per live column split,
-    # and one entry of each of u, m and p per column pair (_live_split_pairs)
+    # and one entry of each of u, plus and minus per column pair (_live_split_pairs)
     row_budget = _SCAN_CHUNK // max(len(col_h0), len(table[0]))
 
     n_entangled = 0
@@ -807,7 +800,7 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
         rows = slice(row_start[first], row_start[last])
         chunk_first, first = first, last
         j, i, best = _live_split_pairs(
-            table, negative, row_h0[rows], row_h1[rows], col_h0, col_h1)
+            table, x, row_h0[rows], row_h1[rows], col_h0, col_h1)
         if not len(best):
             continue
         # float maximum of |S| per (live row subset, live column subset) of the chunk

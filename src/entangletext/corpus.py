@@ -10,7 +10,9 @@ terms are dropped. The co-occurrence count reads the documents' own ids.
 
 Tokenizing works on bytes: the text is encoded to UTF-8, one 256-entry
 ``bytes.translate`` table lowercases ASCII letters and turns every other
-byte into a space, and ``split()`` yields the tokens. Every byte of a
+byte into a space, and ``split()`` yields the tokens. A document goes
+through this in slices of about 65,536 characters, each cut at a
+non-letter, so its byte tokens never all exist at once. Every byte of a
 multi-byte UTF-8 sequence is at least 0x80, so a non-ASCII character
 ends a run exactly as it does for ``[A-Za-z]+`` on the str. Lone
 surrogates are encoded with ``surrogatepass`` and so also end a run.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 import string
 from dataclasses import dataclass, field
 from importlib import resources
@@ -232,6 +235,11 @@ class TopicWindows:
 
 _STOP = -1  # term id of a token the stoplist removes
 
+# characters of a document tokenized at a time: a byte token takes about 45
+# bytes, so a whole 1 M-token document split at once peaked near 66 MB
+_TOKEN_SLICE = 1 << 16
+_TOKEN_SLICES = re.compile(rf"(?s).{{1,{_TOKEN_SLICE}}}[A-Za-z]*")
+
 
 class _TermIds(dict):
     """Lowercase byte token -> term id (or _STOP) for the documents of one load.
@@ -268,11 +276,18 @@ def _normalize(raw: RawDocument, term_ids: _TermIds) -> TermSequence:
     """tokenize_and_normalize with a caller-owned token memo and vocabulary.
 
     Normalization is a pure function of the token, so a memo shared by the
-    documents of one load normalizes each distinct token once.
+    documents of one load normalizes each distinct token once. The text
+    is tokenized in ``_TOKEN_SLICES``: _TOKEN_SLICE characters, then the
+    rest of a letter run, so every slice ends at a non-letter or at the
+    end and holds whole tokens. Only one slice's bytes and byte tokens
+    exist at a time.
     """
-    tokens = raw.text.encode("utf-8", "surrogatepass").translate(_LOWERCASE_LETTERS).split()
-    ids = np.fromiter(map(term_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-    return TermSequence(doc_id=raw.doc_id, ids=ids[ids != _STOP], vocabulary=term_ids.vocabulary)
+    pieces = [np.empty(0, np.int32)]
+    for part in _TOKEN_SLICES.finditer(raw.text):
+        tokens = part[0].encode("utf-8", "surrogatepass").translate(_LOWERCASE_LETTERS).split()
+        ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int32, len(tokens))
+        pieces.append(ids[ids != _STOP])
+    return TermSequence(doc_id=raw.doc_id, ids=np.concatenate(pieces), vocabulary=term_ids.vocabulary)
 
 
 def _manifest_error(path, detail):

@@ -22,11 +22,15 @@ def test_unscaled_corpus_line(subprocess_env):
     line = json.loads(lines[0])
     assert set(line) == {
         "scale", "seed", "documents", "kept_tokens", "held_corpus_mb", "traced_peak_mb",
-        "max_rss_mb",
+        "load_peak_mb", "max_rss_mb",
     }
     assert (line["scale"], line["seed"], line["documents"]) == (1, 7, 120)
     assert line["kept_tokens"] == 168_000
     assert line["held_corpus_mb"] == 168_000 * 4 / 1e6
     # about 3.0 MB at numpy 2.4; 3.6 MB while each (topic, W) built a window index
     assert line["traced_peak_mb"] < 4.0
+    # about 1.5 MB: the loaded corpus, its vocabulary and token memo, and one
+    # document being tokenized
+    assert line["load_peak_mb"] < 2.0
+    assert line["load_peak_mb"] <= line["traced_peak_mb"]
     assert line["max_rss_mb"] > 0

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from entangletext import (
 )
 from entangletext import corpus
 
-from oracles import cooccurrence_reference, normalize_reference, tile_reference
+from oracles import cooccurrence_reference, normalize_reference, porter_reference, tile_reference
 
 
 def _doc(text):
@@ -210,6 +211,74 @@ class TestSegmentWindows:
         topic = _distinct_topic(lengths)
         assert topic.windows(width).n_windows == sum(-(-n // width) for n in lengths)
         assert _same_window(topic, width) == _by_reference(topic, width)
+
+
+class TestTokenSlices:
+    """A document is tokenized in slices cut at non-letters, with the ids of the whole text."""
+
+    @pytest.mark.parametrize("slice_chars", [1, 2, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        text=st.text(
+            st.one_of(
+                st.characters(exclude_categories=()),
+                st.sampled_from("abyzABYZ@[`{ \t\n0189.-_"),
+            )
+        )
+    )
+    @example(text="Storm\ud800\udc00wind café")  # surrogates and non-ASCII at a cut
+    def test_tokens_at_any_slice_size(self, slice_chars, text):
+        config = PipelineConfig(stoplist=frozenset(), stemming_enabled=False)
+        slices = re.compile(rf"(?s).{{1,{slice_chars}}}[A-Za-z]*")  # as corpus._TOKEN_SLICES
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_TOKEN_SLICES", slices)
+            terms = tokenize_and_normalize(_doc(text), config).terms
+        assert list(terms) == [t.lower() for t in re.findall(r"[A-Za-z]+", text)]
+
+    def test_three_documents_in_one_load(self, tmp_path, pipeline_config):
+        # a 1 M-token document, one whose only separators are punctuation and
+        # newlines, and one token longer than a slice
+        rng = np.random.default_rng(0)
+        syllables = ["ka", "lo", "Mi", "ren", "sto", "vel", "dar", "ion", "ing", "ed"]
+        words = sorted({"".join(rng.choice(syllables, size=k))
+                        for k in rng.integers(1, 4, size=3000)}) + ["the", "and", "The", "of"]
+        separators = [" ", " ", " ", ", ", ".\n", "-", " 42 "]
+        picks = rng.integers(0, len(words), size=1_000_000)
+        gaps = rng.integers(0, len(separators), size=len(picks))
+        with open(tmp_path / "big.txt", "w", encoding="utf-8") as big:
+            for first in range(0, len(picks), 50_000):
+                big.write("".join(words[w] + separators[g] for w, g in
+                                  zip(picks[first:first + 50_000], gaps[first:first + 50_000])))
+        stoplist = pipeline_config.stoplist
+        stems = [None if w.lower() in stoplist else porter_reference(w.lower()) for w in words]
+        big_terms = [stems[w] for w in picks.tolist() if stems[w] is not None]
+        texts = {
+            "punctuation": "".join(w + ",.;:!?\n\u2014"[k % 8] for k, w in enumerate(words * 60)),
+            "long": "A storm " + "ab" * 40_000 + "cd, then calm",
+        }
+        entries = [{"doc_id": "big", "path": "big.txt"}]
+        for doc_id, text in texts.items():
+            (tmp_path / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+            entries.append({"doc_id": doc_id, "path": f"{doc_id}.txt"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"topics": [{"topic_id": "t", "documents": entries}]}))
+        assert len(texts["punctuation"]) > 3 * corpus._TOKEN_SLICE
+        assert 2 * 40_000 + 2 > corpus._TOKEN_SLICE
+
+        tracemalloc.start()
+        try:
+            (topic,) = load_topic_corpus(manifest, pipeline_config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        big, *rest = topic.documents
+        assert list(big.terms) == big_terms
+        for doc, text in zip(rest, texts.values()):
+            assert list(doc.terms) == normalize_reference(text, stoplist)
+        # 70 MB while a document's byte tokens all existed at once; reading
+        # the 9 MB ASCII file takes about twice its size
+        assert (tmp_path / "big.txt").stat().st_size > 8e6
+        assert peak < 25e6
 
 
 class TestTermIds:

@@ -71,8 +71,8 @@ def test_wrong_float_verdict_fails(violated, close, monkeypatch):
 
 
 def test_scan_without_the_band_fails(monkeypatch, capsys):
-    # with no band the scan's float32 values count the exact tie, which
-    # reads 2 + 2**-22
+    # with no band the scan's float32 values miss the near-tie, which
+    # violates by 4.6e-8 but reads 2 - 2**-23
     monkeypatch.setattr(chsh, "_FLOAT_BAND", 0.0)
     by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
     assert not by_name["scan verdicts"].passed
@@ -82,8 +82,8 @@ def test_scan_without_the_band_fails(monkeypatch, capsys):
 
 
 def test_verdict_without_the_band_fails(monkeypatch, capsys):
-    # with no band the float32 verdict calls the exact tie that reads
-    # 2 + 2**-22 a violation
+    # with no band the float32 verdict calls the near-tie that violates by
+    # 4.6e-8 but reads 2 - 2**-23 no violation
     monkeypatch.setattr(chsh, "_FLOAT_BAND", 0.0)
     by_name = {r.name: r for r in run_selftest(stream=io.StringIO())}
     assert not by_name["ordering equivalence"].passed
