@@ -376,27 +376,28 @@ def chsh_max_abs_batch(matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.abs(signed), argmax, n_skipped
 
 
-def _block_terms(f, total, diff, numer, denom) -> None:
+def _block_terms(f, pairs, numer, denom) -> None:
     """numer and denom of every (row pair, column pair) block of counts f.
 
-    f is (rows, columns, ...). Into the caller's buffers go the row-pair sums
-    and differences, (row pairs, columns, ...), then numer = f11 + f22 - f12
-    - f21 and denom = f11 + f12 + f21 + f22, (row pairs, column pairs, ...).
-    The pairs (r, r + 1), ..., (r, n - 1) of n indices are consecutive in
-    the module docstring's numbering, so each side takes n - 1 calls per
-    operation, f[r] + f[r + 1:] and f[r] - f[r + 1:]. Every element gets the
-    same operation on the same operands as it would from one call per pair,
-    so the results are bit for bit the same.
+    f is (rows, columns, ...). numer = f11 + f22 - f12 - f21 and denom =
+    f11 + f12 + f21 + f22 go into the caller's (row pairs, column pairs,
+    ...) buffers, and the caller's (row pairs, columns, ...) scratch
+    ``pairs`` holds the row-pair differences while numer is built, then
+    the row-pair sums while denom is built. The pairs (r, r + 1), ..., (r,
+    n - 1) of n indices are consecutive in the module docstring's
+    numbering, so each side takes n - 1 calls per operation, f[r] - f[r +
+    1:] and f[r] + f[r + 1:]. Every element gets the same operation on the
+    same operands as it would from one call per pair, so the results are
+    bit for bit the same.
     """
     n, m = f.shape[:2]
-    for r in range(n - 1):
-        p = slice(r * (2 * n - r - 1) // 2, (r + 1) * (2 * n - r - 2) // 2)
-        np.add(f[r], f[r + 1:], out=total[p])
-        np.subtract(f[r], f[r + 1:], out=diff[p])
-    for c in range(m - 1):
-        q = slice(c * (2 * m - c - 1) // 2, (c + 1) * (2 * m - c - 2) // 2)
-        np.subtract(diff[:, c, None], diff[:, c + 1:], out=numer[:, q])
-        np.add(total[:, c, None], total[:, c + 1:], out=denom[:, q])
+    for combine, out in ((np.subtract, numer), (np.add, denom)):
+        for r in range(n - 1):
+            p = slice(r * (2 * n - r - 1) // 2, (r + 1) * (2 * n - r - 2) // 2)
+            combine(f[r], f[r + 1:], out=pairs[p])
+        for c in range(m - 1):
+            q = slice(c * (2 * m - c - 1) // 2, (c + 1) * (2 * m - c - 2) // 2)
+            combine(pairs[:, c, None], pairs[:, c + 1:], out=out[:, q])
 
 
 def _band_verdict(top: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
@@ -417,13 +418,18 @@ class _FloatVerdict:
     first copies them into the counts buffer, transposed and rounded to
     float32. An instance must not be shared between threads.
 
-    It keeps three float32 buffers, 136 floats per matrix, and every
+    It keeps four float32 buffers, 112 floats per matrix, and every
     intermediate lands in one of them: the counts buffer holds the counts;
-    the sums buffer lends ``buffers`` an intp scratch of 16 per matrix,
-    then holds the row-pair sums and differences, then U and D below; the
-    block buffer holds numer and denom, then x and, in denom's half, the
-    best |S| of each split pair. So one instance serves every chunk of a
-    sampling run with no temporaries larger than its two results.
+    the pairs buffer holds ``_block_terms``' row-pair differences, then its
+    row-pair sums, then the best |S| of each split pair; the x buffer lends
+    ``buffers`` an intp scratch of 16 per matrix, then holds numer, then x;
+    the denom buffer holds denom, then U and D below. So one instance
+    serves every chunk of a sampling run with no temporaries larger than
+    its two results. numer and denom take a buffer each, not one of 72
+    floats per matrix: glibc's malloc raises its mmap and trim thresholds
+    to the largest block freed, so the larger the largest buffer, the more
+    freed memory each sweep thread's arena keeps resident after its pool
+    shuts down.
 
     ``_block_terms`` gives the numer and denom of all 36 (row pair, column
     pair) blocks, pairs numbered as in the module docstring, and x = numer /
@@ -442,14 +448,15 @@ class _FloatVerdict:
 
     def __init__(self, capacity: int):
         self._counts = np.empty(16 * capacity, np.float32)
-        self._sums = np.empty(48 * capacity, np.float32)  # scratch, sums and differences, U and D
-        self._blocks = np.empty(72 * capacity, np.float32)  # numer and denom, then x and best
+        self._pairs = np.empty(24 * capacity, np.float32)  # row-pair terms, then best
+        self._x = np.empty(36 * capacity, np.float32)  # scratch, numer, then x
+        self._denom = np.empty(36 * capacity, np.float32)  # denom, then U and D
 
     def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(counts, scratch): the (4, 4, n) float32 counts ``decide(n)``
         reads, and a (4, 4, n) intp array free for any use until then."""
         return (self._counts[: 16 * n].reshape(4, 4, n),
-                self._sums.view(np.intp)[: 16 * n].reshape(4, 4, n))
+                self._x.view(np.intp)[: 16 * n].reshape(4, 4, n))
 
     def __call__(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(counts)
@@ -457,20 +464,20 @@ class _FloatVerdict:
         return self.decide(n)
 
     def decide(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        x, denom = self._blocks[: 72 * n].reshape(2, 6, 6, n)
+        x, denom = self._x[: 36 * n].reshape(6, 6, n), self._denom[: 36 * n].reshape(6, 6, n)
         _block_terms(self._counts[: 16 * n].reshape(4, 4, n),
-                     *self._sums[: 48 * n].reshape(2, 6, 4, n), x, denom)
+                     self._pairs[: 24 * n].reshape(6, 4, n), x, denom)
         with np.errstate(invalid="ignore"):
             np.divide(x, denom, out=x)
 
-        # U and D replace the row-pair sums and differences; best, denom
-        terms = self._sums[: 36 * n].reshape(2, 3, 6, n)
+        # U and D replace denom; best replaces the row-pair sums
+        terms = denom.reshape(2, 3, 6, n)
         np.add(x[:3], x[:2:-1], out=terms[0])
         np.subtract(x[:3], x[:2:-1], out=terms[1])
         np.abs(terms, out=terms)
         up, down = terms
         # split pair (s, t) of rows and columns lands at [s, t]
-        best, other = self._blocks[36 * n : 54 * n].reshape(2, 3, 3, n)
+        best, other = self._pairs[: 18 * n].reshape(2, 3, 3, n)
         np.add(down[:, :3], up[:, :2:-1], out=best)
         np.add(up[:, :3], down[:, :2:-1], out=other)
         np.maximum(best, other, out=best)
@@ -770,9 +777,9 @@ def entanglement_proportion(matrix: CoocMatrix, top_details: int = 0) -> Proport
     col_subsets, *col_halves = _subsets(n_cols)
     n_cs = len(col_subsets)
     n_total = len(row_subsets) * n_cs
-    sums = np.empty((2, n_rows * (n_rows - 1) // 2, n_cols), np.float32)
-    x, table = np.empty((2, len(sums[0]), n_cols * (n_cols - 1) // 2), np.float32)
-    _block_terms(matrix.counts.astype(np.float32), *sums, x, table)
+    pairs = np.empty((n_rows * (n_rows - 1) // 2, n_cols), np.float32)
+    x, table = np.empty((2, len(pairs), n_cols * (n_cols - 1) // 2), np.float32)
+    _block_terms(matrix.counts.astype(np.float32), pairs, x, table)
     # numer becomes x, NaN for an empty block, and denom its |x|, -inf there
     with np.errstate(invalid="ignore"):
         np.divide(x, table, out=x)

@@ -12,16 +12,19 @@ Tokenizing works on bytes: the text is encoded to UTF-8, one 256-entry
 ``bytes.translate`` table lowercases ASCII letters and turns every other
 byte into a space, and ``split()`` yields the tokens. A document goes
 through this in slices of about 65,536 characters, each cut at a
-non-letter, so its byte tokens never all exist at once. Every byte of a
-multi-byte UTF-8 sequence is at least 0x80, so a non-ASCII character
-ends a run exactly as it does for ``[A-Za-z]+`` on the str. Lone
-surrogates are encoded with ``surrogatepass`` and so also end a run.
+non-letter, so its byte tokens never all exist at once. A document file
+is read in pieces of as many bytes and decoded piece by piece, so its
+whole text never exists at once either. Every byte of a multi-byte
+UTF-8 sequence is at least 0x80, so a non-ASCII character ends a run
+exactly as it does for ``[A-Za-z]+`` on the str. Lone surrogates are
+encoded with ``surrogatepass`` and so also end a run.
 A per-load memo maps each byte token to its term id, and only a memo
 miss decodes the token and stems it.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import operator
 import re
@@ -235,8 +238,9 @@ class TopicWindows:
 
 _STOP = -1  # term id of a token the stoplist removes
 
-# characters of a document tokenized at a time: a byte token takes about 45
-# bytes, so a whole 1 M-token document split at once peaked near 66 MB
+# bytes of a document file read, and characters of a text tokenized, at a
+# time: a byte token takes about 45 bytes, so a whole 1 M-token document
+# split at once peaked near 66 MB, and one read whole at twice its size or more
 _TOKEN_SLICE = 1 << 16
 _TOKEN_SLICES = re.compile(rf"(?s).{{1,{_TOKEN_SLICE}}}[A-Za-z]*")
 
@@ -279,15 +283,66 @@ def _normalize(raw: RawDocument, term_ids: _TermIds) -> TermSequence:
     documents of one load normalizes each distinct token once. The text
     is tokenized in ``_TOKEN_SLICES``: _TOKEN_SLICE characters, then the
     rest of a letter run, so every slice ends at a non-letter or at the
-    end and holds whole tokens. Only one slice's bytes and byte tokens
-    exist at a time.
+    end and holds whole tokens.
+    """
+    slices = (part[0] for part in _TOKEN_SLICES.finditer(raw.text))
+    return _normalize_slices(raw.doc_id, slices, term_ids)
+
+
+def _normalize_slices(doc_id: str, slices: Iterable[str], term_ids: _TermIds) -> TermSequence:
+    """The terms of a document given as slices that each hold whole tokens.
+
+    Only one slice's bytes and byte tokens exist at a time.
     """
     pieces = [np.empty(0, np.int32)]
-    for part in _TOKEN_SLICES.finditer(raw.text):
-        tokens = part[0].encode("utf-8", "surrogatepass").translate(_LOWERCASE_LETTERS).split()
+    for text in slices:
+        tokens = text.encode("utf-8", "surrogatepass").translate(_LOWERCASE_LETTERS).split()
         ids = np.fromiter(map(term_ids.__getitem__, tokens), np.int32, len(tokens))
         pieces.append(ids[ids != _STOP])
-    return TermSequence(doc_id=raw.doc_id, ids=np.concatenate(pieces), vocabulary=term_ids.vocabulary)
+    ids = np.concatenate(pieces)
+    del pieces  # TermSequence keeps a copy of ids
+    return TermSequence(doc_id=doc_id, ids=ids, vocabulary=term_ids.vocabulary)
+
+
+class _DocumentError(Exception):
+    """Why a document file cannot be loaded: it is not UTF-8, or it is empty."""
+
+
+def _read_slices(path: Path) -> Iterable[str]:
+    """The UTF-8 text of a file in slices that each hold whole tokens.
+
+    The file is read and decoded _TOKEN_SLICE bytes at a time, and a
+    piece's trailing letter run goes on to the next slice, so every slice
+    ends at a non-letter or at the end of the file. A byte that is not
+    UTF-8 raises _DocumentError with its offset in the file, and so does
+    a file that holds only whitespace, once it is read.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # in the file, of the next read
+    blank = True
+    run: list[str] = []  # a letter run not yet ended
+    with open(path, "rb") as stream:
+        while True:
+            data = stream.read(_TOKEN_SLICE)
+            held = len(decoder.getstate()[0])  # bytes of a character the last read cut
+            try:
+                piece = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                raise _DocumentError(f"is not UTF-8 text at byte {offset - held + exc.start} "
+                                     f"({exc.reason})") from None
+            if not data:
+                break
+            offset += len(data)
+            blank = blank and (not piece or piece.isspace())
+            cut = len(piece.rstrip(string.ascii_letters))
+            if cut:
+                run.append(piece[:cut])
+                yield "".join(run)
+                run = []
+            run.append(piece[cut:])
+    if blank:
+        raise _DocumentError("is empty")
+    yield "".join(run)
 
 
 def _manifest_error(path, detail):
@@ -358,17 +413,11 @@ def load_topic_corpus(manifest_path: str | Path, config: PipelineConfig) -> list
                     manifest_path, f"document file not found: {doc_path} (doc_id {doc_id!r})"
                 )
             try:
-                text = doc_path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
+                documents.append(_normalize_slices(doc_id, _read_slices(doc_path), term_ids))
+            except _DocumentError as exc:
                 raise _manifest_error(
-                    manifest_path, f"document {doc_id!r} is not UTF-8 text: {doc_path} ({exc})"
-                ) from exc
-            if not text.strip():
-                raise _manifest_error(
-                    manifest_path, f"document {doc_id!r} of topic {topic_id!r} is empty: {doc_path}"
-                )
-            raw = RawDocument(doc_id=doc_id, topic_id=topic_id, text=text)
-            documents.append(_normalize(raw, term_ids))
+                    manifest_path, f"document {doc_id!r} of topic {topic_id!r} {exc}: {doc_path}"
+                ) from None
         corpora.append(TopicCorpus(topic_id=topic_id, documents=tuple(documents)))
     return corpora
 

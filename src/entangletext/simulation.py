@@ -19,10 +19,10 @@ are drawn again by ``searchsorted`` on their own uniforms, as float32
 rounds counts above 2**24. They are few (a few hundred in the 820,000
 matrices of the default figure sweep), so each estimate collects them
 over its chunks and re-decides them at most ``chsh._KERNEL_BATCH`` per
-kernel call, not once per chunk. The uniforms and the verdict's three
-float32 buffers, about 670 bytes per matrix, are allocated once per
-sweep worker, or per estimate off a sweep, and reused by every chunk;
-the draw borrows one of the verdict's buffers for its bucket numbers.
+kernel call, not once per chunk. The uniforms and the verdict's four
+float32 buffers, 576 bytes per matrix, are allocated once per sweep
+worker, or per estimate off a sweep, and reused by every chunk; the
+draw borrows one of the verdict's buffers for its bucket numbers.
 
 All randomness flows through numpy Generators seeded explicitly, so
 every estimate is reproducible bit for bit. Sweep points run on a thread
@@ -56,17 +56,14 @@ __all__ = [
     "parameter_sweep",
 ]
 
-# Matrices per sampling chunk; the reused buffers take about 670 bytes per
-# matrix (128 of uniforms, 544 of the verdict's float32 buffers), and the
-# close matrices awaiting the exact kernel 128 bytes each. Each chunk
-# makes about 40 numpy calls, and on the sweep's thread pool each call
-# hands the GIL between the workers, so a larger chunk spends less per
-# matrix on hand-offs. On the default figure sweep plus the homogeneous
-# and Poisson points (2 vCPUs, median of 8 alternating fresh interpreters
-# of 5 sweeps each), 4,096 took 0.211 s on two threads against 0.232 s for
-# 2,048; on one thread, where no GIL changes hands, 0.323 against 0.281 s,
-# with overlapping quartiles (a chunk's 2.75 MB exceed a 2 MB L2 cache).
-_SAMPLE_CHUNK = 4096
+# Matrices per sampling chunk, so that a default point of 10,000 samples
+# takes two chunks. Each chunk makes about 40 numpy calls, and on the
+# sweep's thread pool each call hands the GIL between the workers, so a
+# point's time follows its number of chunks. The reused buffers take 576
+# bytes per matrix (128 of uniforms, 448 of the verdict's float32
+# buffers), 2.88 MB per chunk, and the close matrices awaiting the exact
+# kernel 128 bytes each.
+_SAMPLE_CHUNK = 5000
 
 # the zipf grid of the paper's figure: 0.1, 0.2, ..., 2.0
 DEFAULT_EXPONENTS = tuple(round(0.1 * i, 10) for i in range(1, 21))

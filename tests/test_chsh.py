@@ -544,6 +544,15 @@ class TestFloatVerdict:
         for got, want in zip(whole, zip(*parts)):
             assert np.array_equal(got, np.concatenate(want))
 
+    def test_allocates_112_floats_per_matrix(self):
+        tracemalloc.start()
+        try:
+            chsh._FloatVerdict(10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 112 * 4 * 10_000 <= peak < 112 * 4 * 10_000 + 4096
+
     @settings(max_examples=100, deadline=None)
     @given(matrices=_near_extremes())
     def test_within_36u_of_the_exact_maximum(self, matrices):
@@ -613,10 +622,10 @@ def _four_cell_terms(f):
 def _built_terms(f):
     """chsh._block_terms on fresh buffers of f's dtype."""
     n_rows, n_cols = len(f), f.shape[1]
-    total, diff = np.empty((2, n_rows * (n_rows - 1) // 2, *f.shape[1:]), dtype=f.dtype)
-    shape = (len(total), n_cols * (n_cols - 1) // 2, *f.shape[2:])
+    pairs = np.empty((n_rows * (n_rows - 1) // 2, *f.shape[1:]), dtype=f.dtype)
+    shape = (len(pairs), n_cols * (n_cols - 1) // 2, *f.shape[2:])
     numer, denom = np.empty((2, *shape), dtype=f.dtype)
-    chsh._block_terms(f, total, diff, numer, denom)
+    chsh._block_terms(f, pairs, numer, denom)
     return numer, denom
 
 

@@ -235,23 +235,39 @@ class TestTokenSlices:
             terms = tokenize_and_normalize(_doc(text), config).terms
         assert list(terms) == [t.lower() for t in re.findall(r"[A-Za-z]+", text)]
 
-    def test_three_documents_in_one_load(self, tmp_path, pipeline_config):
-        # a 1 M-token document, one whose only separators are punctuation and
-        # newlines, and one token longer than a slice
+    @staticmethod
+    def _write_big_document(path, syllables_per_word, separators, stoplist):
+        """A 1 M-token document of made-up words: (its words, its oracle terms)."""
         rng = np.random.default_rng(0)
         syllables = ["ka", "lo", "Mi", "ren", "sto", "vel", "dar", "ion", "ing", "ed"]
         words = sorted({"".join(rng.choice(syllables, size=k))
-                        for k in rng.integers(1, 4, size=3000)}) + ["the", "and", "The", "of"]
-        separators = [" ", " ", " ", ", ", ".\n", "-", " 42 "]
+                        for k in rng.integers(*syllables_per_word, size=3000)})
+        words += ["the", "and", "The", "of"]
         picks = rng.integers(0, len(words), size=1_000_000)
         gaps = rng.integers(0, len(separators), size=len(picks))
-        with open(tmp_path / "big.txt", "w", encoding="utf-8") as big:
+        with open(path, "w", encoding="utf-8") as big:
             for first in range(0, len(picks), 50_000):
                 big.write("".join(words[w] + separators[g] for w, g in
                                   zip(picks[first:first + 50_000], gaps[first:first + 50_000])))
-        stoplist = pipeline_config.stoplist
         stems = [None if w.lower() in stoplist else porter_reference(w.lower()) for w in words]
-        big_terms = [stems[w] for w in picks.tolist() if stems[w] is not None]
+        return words, [stems[w] for w in picks.tolist() if stems[w] is not None]
+
+    @staticmethod
+    def _traced_load(manifest, config):
+        tracemalloc.start()
+        try:
+            (topic,) = load_topic_corpus(manifest, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return topic, peak
+
+    def test_three_documents_in_one_load(self, tmp_path, pipeline_config):
+        # a 1 M-token document, one whose only separators are punctuation and
+        # newlines, and one token longer than a slice
+        stoplist = pipeline_config.stoplist
+        words, big_terms = self._write_big_document(
+            tmp_path / "big.txt", (1, 4), [" ", " ", " ", ", ", ".\n", "-", " 42 "], stoplist)
         texts = {
             "punctuation": "".join(w + ",.;:!?\n\u2014"[k % 8] for k, w in enumerate(words * 60)),
             "long": "A storm " + "ab" * 40_000 + "cd, then calm",
@@ -265,20 +281,51 @@ class TestTokenSlices:
         assert len(texts["punctuation"]) > 3 * corpus._TOKEN_SLICE
         assert 2 * 40_000 + 2 > corpus._TOKEN_SLICE
 
-        tracemalloc.start()
-        try:
-            (topic,) = load_topic_corpus(manifest, pipeline_config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        topic, peak = self._traced_load(manifest, pipeline_config)
         big, *rest = topic.documents
         assert list(big.terms) == big_terms
         for doc, text in zip(rest, texts.values()):
             assert list(doc.terms) == normalize_reference(text, stoplist)
-        # 70 MB while a document's byte tokens all existed at once; reading
-        # the 9 MB ASCII file takes about twice its size
+        # 70 MB while a document's byte tokens all existed at once, 21 MB
+        # while the 9 MB ASCII file was read whole
         assert (tmp_path / "big.txt").stat().st_size > 8e6
         assert peak < 25e6
+
+    def test_a_non_ascii_document_loads_in_bounded_memory(self, tmp_path, pipeline_config):
+        # one em dash made the whole text 2 bytes per character: 51 MB while
+        # the 12.8 MB file was read whole, 8.4 MB in slices, most of it the
+        # document's ids
+        _, big_terms = self._write_big_document(
+            tmp_path / "big.txt", (2, 6), [" ", " ", " ", ", ", ".\n", " \u2014 ", " 42 "],
+            pipeline_config.stoplist)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"topics": [{"topic_id": "t", "documents": [{"doc_id": "big", "path": "big.txt"}]}]}))
+        topic, peak = self._traced_load(manifest, pipeline_config)
+        assert list(topic.documents[0].terms) == big_terms
+        assert (tmp_path / "big.txt").stat().st_size > 12e6
+        assert peak < 15e6
+
+    @pytest.mark.parametrize("slice_bytes", [1, 2, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(st.one_of(st.characters(exclude_categories=("Cs",)),
+                                  st.sampled_from("abyzABYZ \t\r\n0.-"))))
+    def test_read_slices_hold_whole_tokens(self, slice_bytes, text, tmp_path_factory):
+        # read in pieces of any size, a file gives the slices of its text
+        # decoded whole, each ending at a non-letter or at the end
+        path = tmp_path_factory.mktemp("doc") / "d.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        slices, blank = [], False
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_TOKEN_SLICE", slice_bytes)
+            try:
+                for piece in corpus._read_slices(path):
+                    slices.append(piece)
+            except corpus._DocumentError:
+                blank = True
+        assert "".join(slices) == text
+        assert not any(re.search(r"[A-Za-z]\Z", piece) for piece in slices[:-1])
+        assert blank == (not text.strip())
 
 
 class TestTermIds:
@@ -458,6 +505,35 @@ class TestLoadTopicCorpus:
         )
         with pytest.raises(CorpusError, match="empty"):
             load_topic_corpus(manifest, pipeline_config)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b" \n" * corpus._TOKEN_SLICE, "is empty"),
+            (b"storm " * corpus._TOKEN_SLICE + b"\xff winds",
+             rf"not UTF-8 text at byte {6 * corpus._TOKEN_SLICE} \(invalid start byte\)"),
+            (b" " * 3 * corpus._TOKEN_SLICE + b"\xff", rf"at byte {3 * corpus._TOKEN_SLICE} "),
+            (b" " * (corpus._TOKEN_SLICE - 1) + b"\xe2(", rf"at byte {corpus._TOKEN_SLICE - 1} "),
+            (b"storm \xe2\x80", r"at byte 6 \(unexpected end of data\)"),
+        ],
+        ids=["blank-past-one-slice", "bad-byte-after-text", "bad-byte-after-blanks",
+             "character-cut-by-a-read", "character-cut-by-the-end"],
+    )
+    def test_document_read_in_slices_rejected(self, content, message, tmp_path, pipeline_config):
+        (tmp_path / "d.txt").write_bytes(content)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"topics": [{"topic_id": "t", "documents": [{"doc_id": "d", "path": "d.txt"}]}]}))
+        with pytest.raises(CorpusError, match=message):
+            load_topic_corpus(manifest, pipeline_config)
+
+    def test_text_after_blank_slices_is_read(self, tmp_path, pipeline_config):
+        (tmp_path / "d.txt").write_text(" " * 3 * corpus._TOKEN_SLICE + "storm", encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"topics": [{"topic_id": "t", "documents": [{"doc_id": "d", "path": "d.txt"}]}]}))
+        (topic,) = load_topic_corpus(manifest, pipeline_config)
+        assert topic.documents[0].terms == ("storm",)
 
 
 class TestBundledCorpus:

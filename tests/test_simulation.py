@@ -282,8 +282,8 @@ class TestEstimates:
         assert np.array_equal(got, want)
 
     def test_one_estimate_stays_within_its_buffers(self):
-        # 4,096-matrix chunks: 128 bytes of uniforms and 544 of verdict
-        # buffers per matrix, 2.75 MB, plus temporaries; a first call loads
+        # 5,000-matrix chunks: 576 bytes per matrix, 128 of uniforms and 448
+        # of verdict buffers, 2.88 MB, plus temporaries; a first call loads
         # the modules numpy imports lazily
         spec = DistributionSpec.zipf(1.0, 500)
         estimate_violation_probability(spec, 1, 5)
@@ -294,6 +294,28 @@ class TestEstimates:
         finally:
             tracemalloc.stop()
         assert peak < 3.2e6
+
+    def test_a_default_point_takes_two_chunks(self, monkeypatch):
+        # the same estimate in 700-matrix chunks and as the point of a
+        # 1-thread sweep
+        import entangletext.simulation as sim
+
+        chunks = []
+
+        class Counted(chsh._FloatVerdict):
+            def decide(self, n):
+                chunks.append(n)
+                return super().decide(n)
+
+        spec = DistributionSpec.zipf(1.0, 100)
+        monkeypatch.setattr(sim, "_FloatVerdict", Counted)
+        estimate = estimate_violation_probability(spec, 10_000, sim._point_seed(7, 0))
+        assert len(chunks) == 2
+        monkeypatch.setenv("ENTANGLE_THREADS", "1")
+        assert parameter_sweep("zipf", [1.0], [100], 10_000, 7).estimates == (estimate,)
+        monkeypatch.setattr(sim, "_SAMPLE_CHUNK", 700)
+        assert estimate_violation_probability(spec, 10_000, estimate.seed) == estimate
+        assert len(chunks) == 2 + 2 + 15
 
     def test_std_err_formula(self):
         spec = DistributionSpec.zipf(0.7, 50)
@@ -357,6 +379,18 @@ class TestParameterSweep:
         assert list(curves.estimates) == fresh
         assert len(made) <= 2 + len(fresh)
         assert all(ref() is None for ref in made)
+
+    def test_a_two_thread_sweep_stays_within_two_estimates_buffers(self, monkeypatch):
+        # each worker holds one estimate's buffers (test_one_estimate_stays_within_its_buffers)
+        monkeypatch.setenv("ENTANGLE_THREADS", "2")
+        parameter_sweep("zipf", [1.0], [500], 10, 3)  # loads what numpy imports lazily
+        tracemalloc.start()
+        try:
+            parameter_sweep("zipf", [0.5, 1.0], [500], 10_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.4e6
 
     def test_point_seeds_differ(self):
         cur = parameter_sweep("zipf", [0.5, 0.5], [20], n_samples=100, seed=11)
