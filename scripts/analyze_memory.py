@@ -13,6 +13,8 @@ tracemalloc and once untraced. Each line holds:
 - traced_peak_mb: the tracemalloc peak of the traced run
 - load_peak_mb: the tracemalloc peak of loading the corpus alone, in the
   traced run's interpreter after the run; the largest document sets it
+- import_rss_mb: the peak resident memory of the untraced run's
+  interpreter right after `import entangletext`, before the run
 - max_rss_mb: the peak resident memory of the untraced run
 
 The package measured is the one the interpreter imports, so run it from
@@ -51,9 +53,15 @@ def generate(scale: int, seed: int, dest: Path) -> Path:
     return inputs.write_large(ROOT, dest, seed)
 
 
+def _max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def measure(manifest: Path, traced: bool) -> dict:
     """One run_analyze call on manifest; its memory figures."""
     from entangletext import report
+
+    import_rss = _max_rss_mb()
 
     with tempfile.TemporaryDirectory() as out:
         config = report.RunConfig(
@@ -71,7 +79,7 @@ def measure(manifest: Path, traced: bool) -> dict:
         else:
             report.run_analyze(config)
     if not traced:
-        return {"max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6}
+        return {"import_rss_mb": import_rss, "max_rss_mb": _max_rss_mb()}
     tracemalloc.start()
     topics = report.load_topic_corpus(manifest, report._pipeline_config(config))
     load_peak = tracemalloc.get_traced_memory()[1]

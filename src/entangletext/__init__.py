@@ -5,6 +5,10 @@ counts windowed co-occurrences between them, and scans 4-term subset
 pairs for CHSH-inequality violations; a Monte-Carlo module estimates how
 often such violations arise under bounded-Zipfian, homogeneous, and
 truncated-Poisson co-occurrence statistics.
+
+The embedded verification suite's names, ``run_selftest`` and
+``CheckResult``, load on first use: a plain import does not load the
+suite or its ``fractions`` arithmetic.
 """
 
 __version__ = "0.1.0"
@@ -48,7 +52,6 @@ from .relevance import (
     rank_by_tfidf,
 )
 from .report import RunConfig, TopicReport, run_analyze, run_simulate
-from .selftest import CheckResult, run_selftest
 from .simulation import (
     CurveSet,
     DistributionSpec,
@@ -113,3 +116,12 @@ __all__ = [
     "CheckResult",
     "run_selftest",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the selftest suite loads only when one of its names is used
+    if name in ("CheckResult", "run_selftest"):
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

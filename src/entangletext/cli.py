@@ -1,7 +1,8 @@
 """Command-line interface: analyze, simulate, selftest.
 
 Exit codes: 0 ok, 1 usage error (including an output path that cannot be
-written), 2 corpus error, 3 selftest failure.
+written), 2 corpus error, 3 selftest failure. Only ``selftest`` loads the
+verification suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 from .corpus import CorpusError
 from .report import DEFAULT_METHODS, RunConfig, run_analyze, run_simulate
-from .selftest import run_selftest
 from .simulation import DEFAULT_EXPONENTS
 
 __all__ = ["main", "build_parser"]
@@ -181,6 +181,8 @@ def _run(args) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
+        from .selftest import run_selftest
+
         results = run_selftest()
         return 0 if all(r.passed for r in results) else 3
     try:

@@ -26,7 +26,8 @@ draw borrows one of the verdict's buffers for its bucket numbers.
 
 All randomness flows through numpy Generators seeded explicitly, so
 every estimate is reproducible bit for bit. Sweep points run on a thread
-pool capped by ENTANGLE_THREADS; each point owns its Generator, and
+pool of one thread per grid point, up to the CPUs the process may run
+on, capped by ENTANGLE_THREADS; each point owns its Generator, and
 every buffer is written before it is read, so a sweep does not depend
 on the thread count.
 """
@@ -38,7 +39,6 @@ import os
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -260,6 +260,9 @@ def estimate_violation_probability(
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     draw = _InverseCdfDraw(np.cumsum(distribution_pmf(spec)))
     uniforms, verdict = _chunk_buffers(min(n_samples, _SAMPLE_CHUNK))
@@ -295,8 +298,13 @@ def estimate_violation_probability(
 
 
 def max_workers(n_jobs: int) -> int:
-    """Thread-pool size: min(jobs, cpu count), capped by ENTANGLE_THREADS."""
-    limit = os.cpu_count() or 1
+    """Thread-pool size: min(jobs, CPUs this process may run on), capped by
+    ENTANGLE_THREADS. The CPUs are the affinity set where the platform has
+    one, as a cpuset or ``taskset`` can leave fewer than ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        limit = len(os.sched_getaffinity(0))
+    else:
+        limit = os.cpu_count() or 1
     env = os.environ.get("ENTANGLE_THREADS")
     if env:
         try:
@@ -338,6 +346,7 @@ def parameter_sweep(
     bounds = list(bounds)
     if not bounds:
         raise ValueError("at least one support bound is required")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if kind == "homogeneous":
@@ -352,6 +361,9 @@ def parameter_sweep(
 
     specs = [_spec_for(kind, parameter, bound) for parameter, bound in grid]
     seeds = [_point_seed(seed, index) for index in range(len(grid))]
+    # imported here, as only a sweep uses it and it loads logging and queue
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers(len(grid)), initializer=_start_worker) as pool:
         estimates = tuple(
             pool.map(estimate_violation_probability, specs, [n_samples] * len(grid), seeds)

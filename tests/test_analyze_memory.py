@@ -22,7 +22,7 @@ def test_unscaled_corpus_line(subprocess_env):
     line = json.loads(lines[0])
     assert set(line) == {
         "scale", "seed", "documents", "kept_tokens", "held_corpus_mb", "traced_peak_mb",
-        "load_peak_mb", "max_rss_mb",
+        "load_peak_mb", "import_rss_mb", "max_rss_mb",
     }
     assert (line["scale"], line["seed"], line["documents"]) == (1, 7, 120)
     assert line["kept_tokens"] == 168_000
@@ -33,4 +33,4 @@ def test_unscaled_corpus_line(subprocess_env):
     # document being tokenized
     assert line["load_peak_mb"] < 2.0
     assert line["load_peak_mb"] <= line["traced_peak_mb"]
-    assert line["max_rss_mb"] > 0
+    assert 0 < line["import_rss_mb"] <= line["max_rss_mb"]

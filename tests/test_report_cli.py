@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -232,6 +233,12 @@ class TestMaxWorkers:
     def test_bounded_by_jobs(self, monkeypatch):
         monkeypatch.delenv("ENTANGLE_THREADS", raising=False)
         assert max_workers(1) == 1
+
+    def test_bounded_by_cpu_affinity(self, monkeypatch):
+        # a cpuset or taskset can leave the process fewer CPUs than the host has
+        monkeypatch.delenv("ENTANGLE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert max_workers(8) == 1
 
 
 class TestCli:

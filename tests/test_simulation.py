@@ -338,6 +338,25 @@ class TestEstimates:
         with pytest.raises(ValueError, match="n_samples must be an integer"):
             estimate_violation_probability(DistributionSpec.homogeneous(5), n_samples, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["estimate", "sweep"])
+    def test_seed_must_be_an_integer(self, seed, sweep):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            if sweep:
+                parameter_sweep("zipf", [1.0], [10], 50, seed)
+            else:
+                estimate_violation_probability(DistributionSpec.homogeneous(5), 50, seed)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            estimate_violation_probability(DistributionSpec.homogeneous(5), 50, -1)
+
+    def test_numpy_integer_seed(self):
+        spec = DistributionSpec.zipf(1.0, 30)
+        assert estimate_violation_probability(
+            spec, 500, np.int64(3)
+        ) == estimate_violation_probability(spec, 500, 3)
+
 
 class TestParameterSweep:
     def test_grid_size(self):
